@@ -11,8 +11,6 @@ the ground-truth location lands in a component tagged as audio-visual.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -168,22 +166,9 @@ def analyze_segment(segment: Dataset, config: AvConfig | None = None) -> AvSegme
     )
 
 
-def thread_budget() -> int:
-    """Worker cap from the WDMIX_THREADS environment variable (default 1)."""
-    raw = os.environ.get("WDMIX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def analyze_segments(segments, config: AvConfig | None = None, n_jobs: int | None = None) -> list:
-    """Analyse segments independently, optionally in a small thread pool."""
-    jobs = thread_budget() if n_jobs is None else max(1, n_jobs)
-    if jobs == 1 or len(segments) <= 1:
-        return [analyze_segment(seg, config) for seg in segments]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda seg: analyze_segment(seg, config), segments))
+def analyze_segments(segments, config: AvConfig | None = None) -> list:
+    """Analyse segments independently, one after another."""
+    return [analyze_segment(seg, config) for seg in segments]
 
 
 def load_segment_csv(path) -> Dataset:

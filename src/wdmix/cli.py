@@ -7,6 +7,8 @@ optionally an SVG scatter plot) from the written artifacts.  All commands
 are deterministic for a given ``--seed``.
 
 Exit codes: 0 on success, 1 on runtime or file errors, 2 on usage errors.
+Warnings raised while a command runs are printed to stderr, each distinct
+message once, as ``warning: <message>`` lines.
 """
 
 from __future__ import annotations
@@ -445,13 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return args.func(args)
-    except (WdmixError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            status = args.func(args)
+        except (WdmixError, OSError, json.JSONDecodeError) as exc:
+            status, failure = 1, f"error: {exc}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if failure:
+        print(failure, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -141,9 +141,31 @@ def floored_covariance(cov: np.ndarray, fallback_scale: float) -> np.ndarray:
     ridge = COVARIANCE_FLOOR_REL * scale
     if cov.ndim == 2:
         out = cov.copy()
-        out[np.diag_indices_from(out)] += ridge
+        out.flat[:: cov.shape[0] + 1] += ridge
         return out
     return cov + ridge
+
+
+def factor_covariance(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Validate a covariance and return its Cholesky factor and log-determinant.
+
+    ``cov`` is a (d, d) matrix or a (d,) vector of variances; for the latter
+    the factor is the vector of standard deviations.  Raises
+    NonPositiveDefinite for an asymmetric or non-positive-definite matrix
+    and for non-positive variances.
+    """
+    if cov.ndim == 2:
+        scale = max(float(np.max(np.abs(cov))), 1.0)
+        if float(np.max(np.abs(cov - cov.T))) > _SYMMETRY_RTOL * scale:
+            raise NonPositiveDefinite("covariance is not symmetric")
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDefinite("covariance is not positive-definite") from None
+        return chol, 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+    if np.any(cov <= 0.0):
+        raise NonPositiveDefinite("diagonal variances must be positive")
+    return np.sqrt(cov), float(np.sum(np.log(cov)))
 
 
 @dataclass(frozen=True)
@@ -170,24 +192,12 @@ class GaussianComponent:
         if cov.ndim == 2:
             if cov.shape != (d, d):
                 raise DimensionMismatch(f"covariance shape {cov.shape} does not match d={d}")
-            scale = max(float(np.max(np.abs(cov))), 1.0)
-            if float(np.max(np.abs(cov - cov.T))) > _SYMMETRY_RTOL * scale:
-                raise NonPositiveDefinite("covariance is not symmetric")
-            try:
-                chol = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise NonPositiveDefinite("covariance is not positive-definite") from None
-            log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
         elif cov.ndim == 1:
             if cov.shape != (d,):
                 raise DimensionMismatch(f"variance vector length {cov.shape[0]} != d={d}")
-            if np.any(cov <= 0.0):
-                raise NonPositiveDefinite("diagonal variances must be positive")
-            chol = np.sqrt(cov)
-            log_det = float(np.sum(np.log(cov)))
         else:
             raise DimensionMismatch("covariance must be 1-D or 2-D")
-        chol = np.asarray(chol)
+        chol, log_det = factor_covariance(cov)
         chol.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -340,7 +350,7 @@ class WeightState:
         beta = _frozen_array(self.prior_beta)
         if alpha.shape != beta.shape or alpha.ndim != 1:
             raise DimensionMismatch("prior alpha/beta must be matching vectors")
-        if np.any(alpha <= 0.0) or np.any(beta <= 0.0):
+        if not (np.all(alpha > 0.0) and np.all(beta > 0.0)):
             raise NonPositiveShape("gamma priors must be positive")
         object.__setattr__(self, "prior_alpha", alpha)
         object.__setattr__(self, "prior_beta", beta)

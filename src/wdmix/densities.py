@@ -8,7 +8,7 @@ log-determinant, so no determinant or inverse is ever formed explicitly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaln
 
 from .core import GaussianComponent, MixtureModel
@@ -16,6 +16,7 @@ from .errors import (
     DegenerateRow,
     DimensionMismatch,
     EmptyInput,
+    NonPositiveDefinite,
     NonPositiveShape,
     NonPositiveWeight,
 )
@@ -56,13 +57,24 @@ def mahalanobis_sq(x, component: GaussianComponent):
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != component.d:
         raise DimensionMismatch(f"points of dimension {pts.shape[-1]}, component has d={component.d}")
-    diff = pts - component.mean
-    if component.is_diagonal:
-        out = np.sum(diff * diff / component.covariance, axis=1)
-    else:
-        z = solve_triangular(component.chol, diff.T, lower=True, check_finite=False)
-        out = np.sum(z * z, axis=0)
+    factor = component.covariance if component.is_diagonal else component.chol
+    out = squared_distances(pts, component.mean, factor)
     return float(out[0]) if single else out
+
+
+def squared_distances(points: np.ndarray, mean: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """(n,) squared Mahalanobis distances of (n, d) points from ``mean``.
+
+    ``factor`` is the lower Cholesky factor of a full covariance, or the
+    (d,) variance vector of a diagonal one.
+    """
+    diff = points - mean
+    if factor.ndim == 1:
+        return np.sum(diff * diff / factor, axis=1)
+    z, info = dtrtrs(factor, diff.T, lower=1)
+    if info != 0:
+        raise NonPositiveDefinite(f"triangular solve failed (LAPACK info {info})")
+    return np.sum(z * z, axis=0)
 
 
 def log_gaussian_scaled(x, component: GaussianComponent, w):
@@ -190,15 +202,30 @@ def normalize_log_responsibilities(log_weighted: np.ndarray) -> np.ndarray:
     Raises DegenerateRow when a point has zero density under every
     component.
     """
-    row_max = np.max(log_weighted, axis=1)
-    if np.any(~np.isfinite(row_max)):
-        bad = int(np.argmax(~np.isfinite(row_max)))
+    row_max = np.max(log_weighted, axis=1, keepdims=True)
+    finite = np.isfinite(row_max)
+    if not np.all(finite):
+        bad = int(np.argmin(finite))
         raise DegenerateRow(f"point {bad} has no component with positive density")
-    norm = log_sum_exp(log_weighted, axis=1)
-    eta = np.exp(log_weighted - norm[:, None])
+    shifted = log_weighted - row_max
+    np.exp(shifted, out=shifted)
+    norm = np.log(shifted.sum(axis=1, keepdims=True))
+    norm += row_max
+    eta = log_weighted - norm
+    np.exp(eta, out=eta)
     # Guard against rounding pushing a row sum a hair away from 1.
     eta /= eta.sum(axis=1, keepdims=True)
     return eta
+
+
+def expected_log_terms(eta, log_pi, log_dets, wbar, maha) -> float:
+    """sum_ik eta_ik (log pi_k - 0.5 log|Sigma_k| - 0.5 wbar_ik Mah^2_ik).
+
+    The parameter-dependent part of the expected complete-data objective,
+    over the columns passed in.  ``wbar`` broadcasts against ``maha``: (n, 1)
+    for fixed weights, (n, K) for posterior weight means.
+    """
+    return float(np.sum(eta * (log_pi[None, :] - 0.5 * log_dets[None, :] - 0.5 * wbar * maha)))
 
 
 def log_mixture_density(points: np.ndarray, model: MixtureModel, log_density_matrix: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .core import (
     floored_covariance,
 )
 from .densities import (
+    expected_log_terms,
     log_mixture_density,
     mahalanobis_matrix,
     normalize_log_responsibilities,
@@ -44,8 +45,8 @@ def _weights_vector(data: Dataset, weights) -> np.ndarray:
             w = np.full(data.n, float(w))
     if w.shape != (data.n,):
         raise LengthMismatch(f"{w.shape[0]} weights for {data.n} points")
-    if np.any(w <= 0.0):
-        raise NonPositiveWeight("weights must be positive")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise NonPositiveWeight("weights must be positive and finite")
     return w
 
 
@@ -160,9 +161,7 @@ def expected_complete_loglik(
     maha = mahalanobis_matrix(data.points, comps)
     log_dets = np.array([c.log_det for c in comps])
     log_pi = np.log(model.proportions[active])
-    eta_act = eta[:, active]
-    terms = eta_act * (log_pi[None, :] - 0.5 * log_dets[None, :] - 0.5 * w[:, None] * maha)
-    return float(np.sum(terms))
+    return expected_log_terms(eta[:, active], log_pi, log_dets, w[:, None], maha)
 
 
 def fit(data, initial_model: MixtureModel, weights, config: FitConfig | None = None) -> FitReport:

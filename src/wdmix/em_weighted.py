@@ -24,6 +24,7 @@ from .core import (
     WeightState,
 )
 from .densities import (
+    expected_log_terms,
     log_mixture_density,
     mahalanobis_matrix,
     normalize_log_responsibilities,
@@ -35,6 +36,8 @@ from .errors import DimensionMismatch, LengthMismatch, NonPositiveShape
 
 def _random_state(data: Dataset, weight_state) -> WeightState:
     if isinstance(weight_state, tuple):
+        if len(weight_state) != 2:
+            raise NonPositiveShape("gamma priors must be an (alpha, beta) pair")
         weight_state = WeightState.random_prior(*weight_state)
     if not isinstance(weight_state, WeightState) or weight_state.mode != WeightMode.RANDOM:
         raise NonPositiveShape("random-weight EM requires gamma weight priors")
@@ -138,10 +141,9 @@ def expected_complete_loglik(
     maha = mahalanobis_matrix(data.points, comps)
     log_dets = np.array([c.log_det for c in comps])
     log_pi = np.log(model.proportions[active])
-    eta_act = eta[:, active]
-    wbar_act = weight_state.post_mean[:, active]
-    terms = eta_act * (log_pi[None, :] - 0.5 * log_dets[None, :] - 0.5 * wbar_act * maha)
-    return float(np.sum(terms))
+    return expected_log_terms(
+        eta[:, active], log_pi, log_dets, weight_state.post_mean[:, active], maha
+    )
 
 
 def fit(

@@ -20,7 +20,6 @@ from . import em_fixed, em_weighted
 from .core import (
     AnnihilationEvent,
     CovarianceShape,
-    Dataset,
     FitReport,
     GaussianComponent,
     MixtureModel,
@@ -28,9 +27,10 @@ from .core import (
     WeightMode,
     WeightState,
     as_dataset,
+    factor_covariance,
     floored_covariance,
 )
-from .densities import mahalanobis_sq, normalize_log_responsibilities
+from .densities import expected_log_terms, normalize_log_responsibilities, squared_distances
 from .errors import AllAnnihilated, DimensionMismatch, EmptyInput, NoActiveComponents
 from .initialization import (
     kmeans,
@@ -112,8 +112,7 @@ def message_length(data, model: MixtureModel, responsibilities: Responsibilities
     data = as_dataset(data)
     pis = model.proportions
     active = pis > 0.0
-    kplus = int(np.count_nonzero(active))
-    if kplus == 0:
+    if not np.any(active):
         raise NoActiveComponents("model has no component with positive proportion")
     if responsibilities.k != model.n_components:
         raise DimensionMismatch("responsibilities do not match the model's component count")
@@ -121,25 +120,49 @@ def message_length(data, model: MixtureModel, responsibilities: Responsibilities
         q_value = em_fixed.expected_complete_loglik(data, model, responsibilities, weight_state)
     else:
         q_value = em_weighted.expected_complete_loglik(data, model, responsibilities, weight_state)
-    m = model.free_params_per_component
-    n = data.n
+    return _two_part_length(pis[active], q_value, model.free_params_per_component, data.n)
+
+
+def _two_part_length(pis: np.ndarray, q_value: float, m: int, n: int) -> float:
+    """Message length from the surviving proportions and the expected objective."""
     return (
-        0.5 * m * float(np.sum(np.log(pis[active])))
+        0.5 * m * float(np.sum(np.log(pis)))
         - q_value
-        + 0.5 * kplus * (m + 1) * (1.0 + np.log(n / 12.0))
+        + 0.5 * pis.size * (m + 1) * (1.0 + np.log(n / 12.0))
     )
 
 
 class _SelectionEngine:
-    """Shared caches for one selection run: one column per component."""
+    """Raw-array state of one selection run, one column per component.
+
+    Components are held as plain mean / covariance / log-determinant arrays.  ``maha`` and ``log_dens`` cache each component's squared
+    Mahalanobis distances and its log density without log pi, one column per
+    component; an update recomputes only the columns it changed.  Value
+    objects are built only by :meth:`freeze`.
+
+    The cached columns are computed with the same elementwise expressions,
+    and the matrices handed to row and column sums keep the same memory
+    layout, as a full (n, K+) recomputation would: NumPy's pairwise sums
+    depend on layout, and the results are meant to match bit for bit.
+    """
 
     def __init__(self, data, config, weights, covariance_shape, seed, initial_model, restarts, q, bandwidth):
-        self.data = data
         self.cfg = config
         X = data.points
         self.X = X
         self.n, self.d = X.shape
+        self.half = 0.5 * self.d
         self.shape = CovarianceShape(covariance_shape)
+        self.random = config.weight_mode == WeightMode.RANDOM
+        # Reject malformed weights before the k-means restarts run.
+        if weights is None:
+            prior_state = fixed_w = None
+        elif self.random:
+            if not isinstance(weights, WeightState):
+                weights = tuple(weights)
+            prior_state = em_weighted._random_state(data, weights)
+        else:
+            fixed_w = em_fixed._weights_vector(data, weights)
         if initial_model is None:
             labels, _ = kmeans(X, config.k_high, restarts=restarts, seed=seed)
             initial_model = model_from_labels(X, labels, self.shape)
@@ -151,113 +174,121 @@ class _SelectionEngine:
                 f"({self.m} parameters each); selection may be unstable",
                 stacklevel=3,
             )
-        self.comps = list(initial_model.components)
         self.pis = np.array(initial_model.proportions, dtype=np.float64)
         self.active = [k for k in range(self.k_total) if self.pis[k] > 0.0]
         self.global_scale = float(np.trace(np.atleast_2d(np.cov(X.T, bias=True)))) / self.d
-        self.maha = np.empty((self.n, self.k_total))
-        self.log_dets = np.empty(self.k_total)
-        for k in range(self.k_total):
-            self._refresh_component(k)
-        self.half = 0.5 * self.d
 
-        if config.weight_mode == WeightMode.RANDOM:
-            if weights is None:
+        self.means = [None] * self.k_total
+        self.covs = [None] * self.k_total
+        self.log_dets = np.empty(self.k_total)
+        # Column-major, so every per-component column is contiguous.
+        self.maha = np.empty((self.n, self.k_total), order="F")
+        self.log_dens = np.empty((self.n, self.k_total), order="F")
+        self.dirty: set = set()  # log_dens columns to recompute
+        self.refreshed: set = set()  # components moved since the rates were last carried
+        for k, comp in enumerate(initial_model.components):
+            factor = comp.covariance if comp.is_diagonal else comp.chol
+            self._store(k, comp.mean, comp.covariance, factor, comp.log_det)
+
+        if self.random:
+            if prior_state is None:
                 kernel = knn_kernel_weights(X, q=min(q, self.n - 1), bandwidth=bandwidth)
-                alpha, beta = pipeline_gamma_priors(kernel)
-            elif isinstance(weights, WeightState):
-                alpha, beta = weights.prior_alpha, weights.prior_beta
-            else:
-                alpha, beta = (np.asarray(a, dtype=np.float64) for a in weights)
-            self.prior_state = WeightState.random_prior(alpha, beta)
-            self.alpha0 = self.prior_state.prior_alpha
-            self.beta0 = self.prior_state.prior_beta
-            self.post_a = self.alpha0 + self.half
-            self.gl_prior = gammaln(self.alpha0 + self.half) - gammaln(self.alpha0)
-            self.gl_post = gammaln(self.post_a + self.half) - gammaln(self.post_a)
-            # Rates feeding the assignment step; start at the priors and are
-            # overwritten by each weight-posterior step in "carried" mode.
-            self.ez_b = np.tile(self.beta0[:, None], (1, self.k_total))
-            self.carried_ready = False
+                prior_state = WeightState.random_prior(*pipeline_gamma_priors(kernel))
+            self.prior_state = prior_state
+            alpha0 = prior_state.prior_alpha
+            self.beta0 = prior_state.prior_beta
+            self.post_a = alpha0 + self.half
+            # Per-regime terms of the Pearson VII column: (log-gamma ratio,
+            # shape + d/2).  The prior regime's rates never move.
+            self.prior_terms = (gammaln(alpha0 + self.half) - gammaln(alpha0), alpha0 + self.half)
+            self.post_terms = (gammaln(self.post_a + self.half) - gammaln(self.post_a), self.post_a + self.half)
+            self.prior_rate_terms = (self.half * (_LOG_2PI + np.log(self.beta0)), 2.0 * self.beta0)
+            # Rates feeding the assignment step once carried: column j holds
+            # beta0 + Mah^2_j / 2 as of the latest weight-posterior step.
+            self.ez_b = np.empty((self.n, self.k_total), order="F")
+            self.carried = False
         else:
-            if weights is None:
-                w = knn_kernel_weights(X, q=min(q, self.n - 1), bandwidth=bandwidth)
-            elif isinstance(weights, WeightState):
-                w = weights.fixed_w
-            else:
-                w = np.asarray(weights, dtype=np.float64)
-            self.fixed_w = w
-            self.log_w_half_d = 0.5 * self.d * np.log(w)
+            if fixed_w is None:
+                fixed_w = knn_kernel_weights(X, q=min(q, self.n - 1), bandwidth=bandwidth)
+            self.fixed_w = fixed_w
+            self.fixed_base = 0.5 * self.d * np.log(fixed_w) - self.half * _LOG_2PI
+            self.half_w = 0.5 * fixed_w
 
     # -- cache upkeep -----------------------------------------------------
 
-    def _refresh_component(self, k: int) -> None:
-        self.maha[:, k] = mahalanobis_sq(self.X, self.comps[k])
-        self.log_dets[k] = self.comps[k].log_det
+    def _store(self, k: int, mean, cov, factor, log_det: float) -> None:
+        self.means[k] = mean
+        self.covs[k] = cov
+        self.log_dets[k] = log_det
+        self.maha[:, k] = squared_distances(self.X, mean, factor)
+        self.dirty.add(k)
+        self.refreshed.add(k)
 
-    # -- expectation pieces ----------------------------------------------
-
-    def _assignment_eta(self, act: np.ndarray) -> np.ndarray:
-        maha = self.maha[:, act]
-        log_dets = self.log_dets[act]
-        if self.cfg.weight_mode == WeightMode.FIXED:
-            lp = (
-                self.log_w_half_d[:, None]
-                - self.half * _LOG_2PI
-                - 0.5 * log_dets[None, :]
-                - 0.5 * self.fixed_w[:, None] * maha
-            )
+    def _column(self, j: int) -> np.ndarray:
+        """Log density of every point under component j, without log pi."""
+        half_ld = 0.5 * self.log_dets[j]
+        maha = self.maha[:, j]
+        if not self.random:
+            return self.fixed_base - half_ld - self.half_w * maha
+        if self.carried:
+            gl, aa_half = self.post_terms
+            bb = self.ez_b[:, j]
+            rate_norm, two_b = self.half * (_LOG_2PI + np.log(bb)), 2.0 * bb
         else:
-            if self.cfg.assignment_rates == "carried" and self.carried_ready:
-                aa, gl = self.post_a, self.gl_post
-                bb = self.ez_b[:, act]
-            else:
-                aa, gl = self.alpha0, self.gl_prior
-                bb = np.broadcast_to(self.beta0[:, None], maha.shape)
-            lp = (
-                gl[:, None]
-                - 0.5 * log_dets[None, :]
-                - self.half * (_LOG_2PI + np.log(bb))
-                - (aa[:, None] + self.half) * np.log1p(maha / (2.0 * bb))
-            )
-        with np.errstate(divide="ignore"):
-            log_pi = np.log(self.pis[act])
-        return normalize_log_responsibilities(lp + log_pi[None, :])
+            gl, aa_half = self.prior_terms
+            rate_norm, two_b = self.prior_rate_terms
+        return gl - half_ld - rate_norm - aa_half * np.log1p(maha / two_b)
 
-    def _posterior_wbar(self, act: np.ndarray) -> np.ndarray:
-        if self.cfg.weight_mode == WeightMode.FIXED:
-            return np.broadcast_to(self.fixed_w[:, None], (self.n, act.size))
-        return self.post_a[:, None] / (self.beta0[:, None] + 0.5 * self.maha[:, act])
+    def _carry_rates(self) -> None:
+        """Weight-posterior step: rates of every moved component feed the next assignment.
+
+        Every component starts out in ``refreshed``, so the first call, which
+        switches the columns from the prior to the carried regime, rewrites
+        every active column.
+        """
+        self.carried = True
+        for j in self.refreshed.intersection(self.active):
+            self.ez_b[:, j] = self.beta0 + 0.5 * self.maha[:, j]
+            self.dirty.add(j)
+        self.refreshed.clear()
+
+    def _responsibilities(self, act: np.ndarray) -> np.ndarray:
+        for j in self.dirty.intersection(self.active):
+            self.log_dens[:, j] = self._column(j)
+        self.dirty.clear()
+        log_weighted = np.take(self.log_dens, act, axis=1)
+        with np.errstate(divide="ignore"):
+            log_weighted += np.log(self.pis[act])[None, :]
+        return normalize_log_responsibilities(log_weighted)
 
     # -- one component-wise sweep ----------------------------------------
 
     def sweep(self, sweep_index: int, log: list) -> None:
+        carry = self.random and self.cfg.assignment_rates == "carried"
         for k in list(self.active):
-            act = np.array(self.active)
-            eta = self._assignment_eta(act)
-            if self.cfg.weight_mode == WeightMode.RANDOM:
-                b_cur = self.beta0[:, None] + 0.5 * self.maha[:, act]
-                wbar = self.post_a[:, None] / b_cur
-                if self.cfg.assignment_rates == "carried":
-                    self.ez_b[:, act] = b_cur
-                    self.carried_ready = True
+            eta = self._responsibilities(np.array(self.active))
+            if self.random:
+                wbar = self.post_a / (self.beta0 + 0.5 * self.maha[:, k])
+                if carry:
+                    self._carry_rates()
             else:
-                wbar = np.broadcast_to(self.fixed_w[:, None], eta.shape)
+                wbar = self.fixed_w
             sums = eta.sum(axis=0)
             new_pis = truncated_proportions(sums, self.m)
             pos = self.active.index(k)
             old_pi = float(self.pis[k])
             self.pis[k] = new_pis[pos]
             if self.pis[k] > 0.0:
-                omega = eta[:, pos] * wbar[:, pos]
+                omega = eta[:, pos] * wbar
                 mu = omega @ self.X / omega.sum()
                 diff = self.X - mu
                 if self.shape == CovarianceShape.DIAGONAL:
                     cov = omega @ (diff * diff) / sums[pos]
                 else:
                     cov = (diff * omega[:, None]).T @ diff / sums[pos]
-                self.comps[k] = GaussianComponent(mu, floored_covariance(cov, self.global_scale))
-                self._refresh_component(k)
+                cov = floored_covariance(cov, self.global_scale)
+                chol, log_det = factor_covariance(cov)
+                self._store(k, mu, cov, cov if cov.ndim == 1 else chol, log_det)
             else:
                 log.append(AnnihilationEvent(sweep_index, k, old_pi))
                 self.active.remove(k)
@@ -275,24 +306,38 @@ class _SelectionEngine:
 
     # -- measurement ------------------------------------------------------
 
-    def snapshot(self):
-        """Active-components model plus matching posteriors, ready to report."""
-        act = np.array(self.active)
-        comps = tuple(self.comps[k] for k in act)
-        pis = self.pis[act] / self.pis[act].sum()
-        model = MixtureModel(comps, pis, self.shape)
-        eta = Responsibilities(self._assignment_eta(act))
-        if self.cfg.weight_mode == WeightMode.FIXED:
-            ws = WeightState.fixed(self.fixed_w)
-        else:
-            b_cur = self.beta0[:, None] + 0.5 * self.maha[:, act]
-            ws = self.prior_state.with_posterior(self.post_a, b_cur)
-            ws = ws.with_marginal(np.sum(eta.matrix * ws.post_mean, axis=1))
-        return model, eta, ws
+    def measure(self) -> float:
+        """Message length of the current state, kept for :meth:`freeze`.
 
-    def measure(self) -> tuple:
-        model, eta, ws = self.snapshot()
-        return message_length(self.data, model, eta, ws), model, eta, ws
+        Same arithmetic as :func:`message_length` on the frozen state, from
+        the cached distances.
+        """
+        act = np.array(self.active)
+        eta = self._responsibilities(act)
+        pis = self.pis[act] / self.pis[act].sum()
+        if self.random:
+            b_cur = self.beta0[:, None] + 0.5 * self.maha[:, act]
+            wbar = self.post_a[:, None] / b_cur
+        else:
+            b_cur = None
+            wbar = self.fixed_w[:, None]
+        maha = np.take(self.maha, act, axis=1)
+        q_value = expected_log_terms(eta, np.log(pis), self.log_dets[act], wbar, maha)
+        self._measured = (act, pis, eta, b_cur)
+        return _two_part_length(pis, q_value, self.m, self.n)
+
+    def freeze(self) -> tuple:
+        """Validated model, responsibilities and weights of the last measured state."""
+        act, pis, eta, b_cur = self._measured
+        comps = tuple(GaussianComponent(self.means[k], self.covs[k]) for k in act)
+        model = MixtureModel(comps, pis, self.shape)
+        resp = Responsibilities(eta)
+        if self.random:
+            ws = self.prior_state.with_posterior(self.post_a, b_cur)
+            ws = ws.with_marginal(np.sum(resp.matrix * ws.post_mean, axis=1))
+        else:
+            ws = WeightState.fixed(self.fixed_w)
+        return model, resp, ws
 
 
 def select_model(
@@ -342,7 +387,7 @@ def select_model(
                 converged = False
                 stop = True
                 break
-            current, model, eta, ws = engine.measure()
+            current = engine.measure()
             trace.append(current)
             kplus_hist.append(len(engine.active))
             sweeps += 1
@@ -357,9 +402,7 @@ def select_model(
         checkpoint_lengths.append(current)
         if current < state.best_length:
             state.best_length = current
-            state.best_model = model
-            state.best_responsibilities = eta
-            state.best_weights = ws
+            state.best_model, state.best_responsibilities, state.best_weights = engine.freeze()
         if len(engine.active) > config.k_low:
             act = np.array(engine.active)
             k_star = int(act[int(np.argmin(engine.pis[act]))])
@@ -371,11 +414,9 @@ def select_model(
 
     if state.best_model is None:
         # Budget ran out before any stage converged; report the current state.
-        length, model, eta, ws = engine.measure()
+        length = engine.measure()
         state.best_length = length
-        state.best_model = model
-        state.best_responsibilities = eta
-        state.best_weights = ws
+        state.best_model, state.best_responsibilities, state.best_weights = engine.freeze()
         checkpoint_lengths.append(length)
 
     return FitReport(

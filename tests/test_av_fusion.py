@@ -15,7 +15,7 @@ from wdmix import (
     model_from_parameters,
     validate_dataset,
 )
-from wdmix.av_fusion import load_ground_truth_csv, load_segment_csv, thread_budget
+from wdmix.av_fusion import load_ground_truth_csv, load_segment_csv
 from wdmix.errors import LengthMismatch, NonPositiveWeight, SingleModality
 
 
@@ -202,28 +202,15 @@ class TestAnalyzeSegment:
         assert np.array_equal(a.model.proportions, b.model.proportions)
         assert a.tags == b.tags
 
-    def test_analyze_segments_matches_sequential(self, monkeypatch):
+    def test_analyze_segments_matches_sequential(self):
         segments = [_two_speaker_segment(2), _two_speaker_segment(3)]
         config = AvConfig(seed=1)
         sequential = [analyze_segment(seg, config) for seg in segments]
-        monkeypatch.setenv("WDMIX_THREADS", "2")
-        pooled = analyze_segments(segments, config)
-        assert len(pooled) == 2
-        for one, other in zip(sequential, pooled):
+        batch = analyze_segments(segments, config)
+        assert len(batch) == 2
+        for one, other in zip(sequential, batch):
             assert np.array_equal(one.model.proportions, other.model.proportions)
             assert one.tags == other.tags
-
-
-class TestThreadBudget:
-    def test_env_controls_budget(self, monkeypatch):
-        monkeypatch.setenv("WDMIX_THREADS", "3")
-        assert thread_budget() == 3
-        monkeypatch.setenv("WDMIX_THREADS", "0")
-        assert thread_budget() == 1
-        monkeypatch.setenv("WDMIX_THREADS", "junk")
-        assert thread_budget() == 1
-        monkeypatch.delenv("WDMIX_THREADS")
-        assert thread_budget() == 1
 
 
 class TestCsvLoaders:

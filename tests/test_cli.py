@@ -210,6 +210,21 @@ class TestSelect:
         assert payload["algorithm"] == "select-fwd"
         assert "weight_means" not in payload
 
+    def test_small_sample_warning_reaches_stderr(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.csv"
+        assert run_cli("generate", "--profile", "easy", "--n", 30, "--seed", 0, "--out", tiny) == 0
+        capsys.readouterr()
+        code = run_cli("select", "--input", tiny, "--k-high", 12, "--seed", 0,
+                       "--out", tmp_path / "tiny")
+        err = capsys.readouterr().err
+        assert code == 0, err
+        lines = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert lines == [
+            "warning: only 30 points for k_high=12 components (5 parameters each); "
+            "selection may be unstable"
+        ]
+        assert (tmp_path / "tiny.report.json").exists()
+
 
 class TestEvaluate:
     def test_db_and_f1_match_direct_computation(self, fitted, small_csv, tmp_path):

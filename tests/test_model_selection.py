@@ -6,21 +6,31 @@ import warnings
 import numpy as np
 import pytest
 
+from reference_selection import reference_select_model
 from wdmix import (
     CovarianceShape,
     MixtureModel,
     MmlConfig,
     WeightMode,
     WeightState,
+    contaminate_uniform,
     em_fixed,
     em_weighted,
+    generate_sim,
     message_length,
     model_from_parameters,
     select_model,
     truncated_proportions,
     validate_dataset,
 )
-from wdmix.errors import AllAnnihilated, DimensionMismatch, EmptyInput
+from wdmix.errors import (
+    AllAnnihilated,
+    DimensionMismatch,
+    EmptyInput,
+    LengthMismatch,
+    NonPositiveShape,
+    NonPositiveWeight,
+)
 
 
 class TestTruncatedProportions:
@@ -255,3 +265,90 @@ class TestSelectModel:
         assert report.final_model.covariance_shape == CovarianceShape.DIAGONAL
         assert report.final_model.n_components == 3
         assert all(c.is_diagonal for c in report.final_model.components)
+
+
+class TestWeightValidation:
+    """Malformed weights are rejected before any k-means restart runs."""
+
+    @pytest.fixture
+    def no_kmeans(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("k-means ran before the weights were checked")
+
+        monkeypatch.setattr("wdmix.model_selection.kmeans", fail)
+
+    @pytest.mark.parametrize("bad", [np.ones(149), np.r_[0.0, np.ones(149)], np.r_[np.nan, np.ones(149)]])
+    def test_fixed_weights(self, blobs_2d, no_kmeans, bad):
+        config = MmlConfig(k_high=4, weight_mode=WeightMode.FIXED)
+        expected = LengthMismatch if bad.size != blobs_2d.n else NonPositiveWeight
+        with pytest.raises(expected):
+            select_model(blobs_2d, config, weights=bad, seed=0)
+
+    def test_random_priors_one_short(self, blobs_2d, no_kmeans):
+        config = MmlConfig(k_high=4)
+        with pytest.raises(LengthMismatch):
+            select_model(blobs_2d, config, weights=(np.ones(149), np.ones(149)), seed=0)
+
+    def test_random_mode_rejects_plain_weight_vector(self, blobs_2d, no_kmeans):
+        with pytest.raises(NonPositiveShape):
+            select_model(blobs_2d, MmlConfig(k_high=4), weights=np.ones(150), seed=0)
+
+    def test_random_priors_nan(self, blobs_2d, no_kmeans):
+        alpha = np.r_[np.nan, np.ones(149)]
+        with pytest.raises(NonPositiveShape):
+            select_model(blobs_2d, MmlConfig(k_high=4), weights=(alpha, np.ones(150)), seed=0)
+
+
+@pytest.fixture(scope="module")
+def small_contaminated():
+    return contaminate_uniform(generate_sim("easy", 120, seed=5), 0.3, seed=6)
+
+
+class TestMatchesFullMatrixEngine:
+    """The cached engine reproduces the full-matrix oracle bit for bit."""
+
+    @staticmethod
+    def _assert_identical(got, want):
+        assert got.objective_trace == want.objective_trace
+        assert got.kplus_history == want.kplus_history
+        assert got.checkpoint_lengths == want.checkpoint_lengths
+        assert got.annihilation_log == want.annihilation_log
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert got.best_length == want.best_length
+        gm, wm = got.final_model, want.final_model
+        assert gm.covariance_shape == wm.covariance_shape
+        assert np.array_equal(gm.proportions, wm.proportions)
+        for a, b in zip(gm.components, wm.components, strict=True):
+            assert np.array_equal(a.mean, b.mean)
+            assert np.array_equal(a.covariance, b.covariance)
+            assert a.log_det == b.log_det
+        assert np.array_equal(got.final_responsibilities.matrix, want.final_responsibilities.matrix)
+        gw, ww = got.final_weights, want.final_weights
+        assert gw.mode == ww.mode
+        for name in ("fixed_w", "post_a", "post_b", "post_mean", "marginal_mean"):
+            a, b = getattr(gw, name), getattr(ww, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", ["full", "diagonal"])
+    @pytest.mark.parametrize("rates", ["carried", "prior"])
+    @pytest.mark.parametrize("mode", ["random", "fixed"])
+    @pytest.mark.parametrize("dataset", ["blobs_2d", "small_contaminated"])
+    def test_bit_identical(self, request, dataset, mode, rates, shape):
+        data = request.getfixturevalue(dataset)
+        config = MmlConfig(k_high=6, weight_mode=mode, assignment_rates=rates)
+        got = select_model(data, config, covariance_shape=shape, seed=2, restarts=3)
+        want = reference_select_model(data, config, covariance_shape=shape, seed=2, restarts=3)
+        self._assert_identical(got, want)
+        assert got.best_length == message_length(
+            data, got.final_model, got.final_responsibilities, got.final_weights
+        )
+
+    @pytest.mark.parametrize("mode", ["random", "fixed"])
+    def test_bit_identical_when_budget_runs_out(self, small_contaminated, mode):
+        config = MmlConfig(k_high=6, weight_mode=mode, max_outer_iter=3)
+        got = select_model(small_contaminated, config, seed=4, restarts=2)
+        want = reference_select_model(small_contaminated, config, seed=4, restarts=2)
+        assert not got.converged and got.iterations == 3
+        self._assert_identical(got, want)
