@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Dataset, MixtureModel, Responsibilities, validate_dataset
-from .densities import normalize_log_responsibilities, scaled_gaussian_log_matrix
+from .em_fixed import e_step
 from .errors import LengthMismatch, NonPositiveWeight, SingleModality
 from .model_selection import MmlConfig, select_model
 
@@ -106,10 +106,7 @@ def correct_detection(x_g, model: MixtureModel, component_tags) -> bool:
     if len(component_tags) != model.n_components:
         raise LengthMismatch("one tag per component is required")
     point = np.asarray(x_g, dtype=np.float64)[None, :]
-    log_dens = scaled_gaussian_log_matrix(point, model.components, 1.0)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.proportions)
-    posterior = normalize_log_responsibilities(log_dens + log_pi[None, :])[0]
+    posterior = e_step(point, model, 1.0).matrix[0]
     best = int(np.argmax(posterior))
     k = model.n_components
     return component_tags[best] == ComponentTag.AUDIO_VISUAL and posterior[best] >= 1.0 / k

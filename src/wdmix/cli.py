@@ -144,17 +144,13 @@ def assignments_from_model(dataset: Dataset, payload: dict) -> np.ndarray:
     meta = payload.get("fit", {})
     algorithm = meta.get("algorithm", "gmm")
     if algorithm == "gmm":
-        eta = em_fixed.e_step(dataset, model, np.ones(dataset.n))
-    elif algorithm == "fwd":
-        w = knn_kernel_weights(dataset, q=int(meta["q"]), bandwidth=float(meta["sigma"]))
-        eta = em_fixed.e_step(dataset, model, w)
-    elif algorithm == "wd":
-        w = knn_kernel_weights(dataset, q=int(meta["q"]), bandwidth=float(meta["sigma"]))
-        alpha, beta = pipeline_gamma_priors(w)
-        eta = em_weighted.e_step_assignments(dataset, model, (alpha, beta))
-    else:
+        return em_fixed.e_step(dataset, model, np.ones(dataset.n)).hard_assignments()
+    if algorithm not in ("fwd", "wd"):
         raise WdmixError(f"unknown algorithm {algorithm!r} in model file")
-    return eta.hard_assignments()
+    w = knn_kernel_weights(dataset, q=int(meta["q"]), bandwidth=float(meta["sigma"]))
+    if algorithm == "fwd":
+        return em_fixed.e_step(dataset, model, w).hard_assignments()
+    return em_weighted.e_step_assignments(dataset, model, pipeline_gamma_priors(w)).hard_assignments()
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +240,11 @@ def _fit_dataset(args, dataset: Dataset):
     initial = model_from_labels(dataset, labels, shape)
     config = FitConfig(max_iter=args.max_iter, rel_tol=args.tol)
     if args.algorithm == "gmm":
-        report = em_fixed.fit(dataset, initial, np.ones(dataset.n), config)
-    elif args.algorithm == "fwd":
-        w = knn_kernel_weights(dataset, q=args.q, bandwidth=args.sigma)
-        report = em_fixed.fit(dataset, initial, w, config)
-    else:
-        w = knn_kernel_weights(dataset, q=args.q, bandwidth=args.sigma)
-        report = em_weighted.fit(dataset, initial, pipeline_gamma_priors(w), config)
-    return report
+        return em_fixed.fit(dataset, initial, np.ones(dataset.n), config)
+    w = knn_kernel_weights(dataset, q=args.q, bandwidth=args.sigma)
+    if args.algorithm == "fwd":
+        return em_fixed.fit(dataset, initial, w, config)
+    return em_weighted.fit(dataset, initial, pipeline_gamma_priors(w), config)
 
 
 def _cmd_fit(args) -> int:

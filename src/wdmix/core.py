@@ -146,6 +146,29 @@ def floored_covariance(cov: np.ndarray, fallback_scale: float) -> np.ndarray:
     return cov + ridge
 
 
+def data_scale(points: np.ndarray) -> float:
+    """Mean per-coordinate variance of the data: the ridge fallback scale."""
+    return float(np.trace(np.atleast_2d(np.cov(points.T, bias=True)))) / points.shape[1]
+
+
+def weighted_component(
+    points, omega, omega_sum, resp_sum, shape, fallback_scale
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and floored covariance of one component from weighted responsibilities.
+
+    ``omega`` holds the (n,) responsibilities times the M-step weights and
+    ``omega_sum`` its sum.  The covariance divides the weighted scatter by
+    the plain responsibility sum ``resp_sum``.
+    """
+    mu = omega @ points / omega_sum
+    diff = points - mu
+    if shape == CovarianceShape.DIAGONAL:
+        cov = omega @ (diff * diff) / resp_sum
+    else:
+        cov = (diff * omega[:, None]).T @ diff / resp_sum
+    return mu, floored_covariance(cov, fallback_scale)
+
+
 def factor_covariance(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Validate a covariance and return its Cholesky factor and log-determinant.
 

@@ -77,6 +77,65 @@ def squared_distances(points: np.ndarray, mean: np.ndarray, factor: np.ndarray) 
     return np.sum(z * z, axis=0)
 
 
+# ---------------------------------------------------------------------------
+# Weighting regimes: every density in the package comes from one of these.
+# Per-point arrays are used as given and must broadcast against the squared
+# Mahalanobis distances, e.g. (n, 1) against an (n, K) matrix.
+
+
+class FixedWeights:
+    """Known precision weights: density N(x; mu, Sigma / w_i), M-step weight w_i."""
+
+    def __init__(self, w, d: int):
+        self.w = w
+        self.base = 0.5 * d * np.log(w) - 0.5 * d * _LOG_2PI
+
+    def log_density(self, maha, log_dets):
+        return self.base - 0.5 * log_dets - 0.5 * self.w * maha
+
+    def weight_means(self, maha):
+        return self.w
+
+
+class GammaWeights:
+    """Gamma weights w_i ~ Gamma(alpha_i, beta_i): Pearson VII density, M-step weight a_i / b_ik.
+
+    a_i = alpha_i + d/2 and b_ik = beta_i + Mah^2_ik / 2 are the posterior
+    shape and rates.  :meth:`with_rates` swaps in other rates (such as
+    per-component ones) without recomputing the log-gamma ratio.
+    """
+
+    def __init__(self, alpha, beta, d: int):
+        self.half = 0.5 * d
+        self.post_a = alpha + self.half
+        self.log_ratio = gammaln(self.post_a) - gammaln(alpha)
+        self._set_rates(beta)
+
+    def _set_rates(self, beta) -> None:
+        self.beta = beta
+        self.rate_norm = self.half * (_LOG_2PI + np.log(beta))
+
+    def with_rates(self, beta) -> "GammaWeights":
+        out = object.__new__(GammaWeights)
+        out.half, out.post_a, out.log_ratio = self.half, self.post_a, self.log_ratio
+        out._set_rates(beta)
+        return out
+
+    def log_density(self, maha, log_dets):
+        tail = self.post_a * np.log1p(maha / (2.0 * self.beta))
+        return self.log_ratio - 0.5 * log_dets - self.rate_norm - tail
+
+    def posterior_rates(self, maha):
+        return self.beta + 0.5 * maha
+
+    def weight_means(self, maha):
+        return self.post_a / self.posterior_rates(maha)
+
+
+# ---------------------------------------------------------------------------
+# Densities of one point or a stack of points under one component.
+
+
 def log_gaussian_scaled(x, component: GaussianComponent, w):
     """log N(x; mu, Sigma / w) for positive precision scale(s) w.
 
@@ -87,13 +146,7 @@ def log_gaussian_scaled(x, component: GaussianComponent, w):
     if np.any(w_arr <= 0.0) or not np.all(np.isfinite(w_arr)):
         raise NonPositiveWeight("precision scales must be positive and finite")
     maha = mahalanobis_sq(x, component)
-    d = component.d
-    out = (
-        -0.5 * d * _LOG_2PI
-        + 0.5 * d * np.log(w_arr)
-        - 0.5 * component.log_det
-        - 0.5 * w_arr * maha
-    )
+    out = FixedWeights(w_arr, component.d).log_density(maha, component.log_det)
     return float(out) if np.isscalar(maha) and w_arr.ndim == 0 else out
 
 
@@ -126,22 +179,14 @@ def log_pearson7(x, component: GaussianComponent, alpha, beta):
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise NonPositiveShape("Pearson VII shape and rate must be positive")
     maha = mahalanobis_sq(x, component)
-    d = component.d
-    half = 0.5 * d
-    out = (
-        gammaln(a + half)
-        - gammaln(a)
-        - 0.5 * component.log_det
-        - half * (_LOG_2PI + np.log(b))
-        - (a + half) * np.log1p(maha / (2.0 * b))
-    )
+    out = GammaWeights(a, b, component.d).log_density(maha, component.log_det)
     if np.isscalar(maha) and a.ndim == 0 and b.ndim == 0:
         return float(out)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Matrix forms used by the EM engines: one column per mixture component.
+# Matrix forms: one column per mixture component.
 
 
 def mahalanobis_matrix(points: np.ndarray, components) -> np.ndarray:
@@ -151,56 +196,28 @@ def mahalanobis_matrix(points: np.ndarray, components) -> np.ndarray:
 
 
 def scaled_gaussian_log_matrix(points: np.ndarray, components, w) -> np.ndarray:
-    """(n, K) matrix of log N(x_i; mu_k, Sigma_k / w_i)."""
-    w_arr = np.asarray(w, dtype=np.float64)
-    if np.any(w_arr <= 0.0):
-        raise NonPositiveWeight("precision scales must be positive")
-    if w_arr.ndim == 0:
-        w_arr = np.full(points.shape[0], float(w_arr))
-    d = points.shape[1]
-    maha = mahalanobis_matrix(points, components)
-    log_dets = np.array([comp.log_det for comp in components])
-    return (
-        -0.5 * d * _LOG_2PI
-        + 0.5 * d * np.log(w_arr)[:, None]
-        - 0.5 * log_dets[None, :]
-        - 0.5 * w_arr[:, None] * maha
-    )
+    """(n, K) matrix of log N(x_i; mu_k, Sigma_k / w_i), one column per component."""
+    return np.column_stack([log_gaussian_scaled(points, comp, w) for comp in components])
 
 
 def pearson7_log_matrix(points: np.ndarray, components, alpha, beta) -> np.ndarray:
-    """(n, K) matrix of log Pearson VII densities.
+    """(n, K) matrix of log Pearson VII densities, one column per component.
 
     ``alpha`` is a scalar or (n,) prior shape; ``beta`` may be scalar, (n,),
     or a full (n, K) matrix of per-point-per-component rates.
     """
-    n, d = points.shape
-    a = np.asarray(alpha, dtype=np.float64)
     b = np.asarray(beta, dtype=np.float64)
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
-        raise NonPositiveShape("Pearson VII shape and rate must be positive")
-    if a.ndim == 0:
-        a = np.full(n, float(a))
-    if b.ndim == 0:
-        b = np.full(n, float(b))
-    if b.ndim == 1:
-        b = b[:, None]
-    maha = mahalanobis_matrix(points, components)
-    log_dets = np.array([comp.log_det for comp in components])
-    half = 0.5 * d
-    return (
-        (gammaln(a + half) - gammaln(a))[:, None]
-        - 0.5 * log_dets[None, :]
-        - half * (_LOG_2PI + np.log(b))
-        - (a[:, None] + half) * np.log1p(maha / (2.0 * b))
-    )
+    rates = b.T if b.ndim == 2 else [b] * len(components)
+    return np.column_stack([log_pearson7(points, comp, alpha, r) for comp, r in zip(components, rates)])
 
 
-def normalize_log_responsibilities(log_weighted: np.ndarray) -> np.ndarray:
+def normalize_log_responsibilities(log_weighted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalise log numerators into a responsibility matrix.
 
-    Raises DegenerateRow when a point has zero density under every
-    component.
+    Returns the (n, K) responsibilities and the (n,) row log-normalisers
+    log sum_k exp(log_weighted[i, k]); with log pi_k + log density in the
+    numerators the latter are the points' log-likelihoods.  Raises
+    DegenerateRow when a point has zero density under every component.
     """
     row_max = np.max(log_weighted, axis=1, keepdims=True)
     finite = np.isfinite(row_max)
@@ -215,7 +232,7 @@ def normalize_log_responsibilities(log_weighted: np.ndarray) -> np.ndarray:
     np.exp(eta, out=eta)
     # Guard against rounding pushing a row sum a hair away from 1.
     eta /= eta.sum(axis=1, keepdims=True)
-    return eta
+    return eta, norm[:, 0]
 
 
 def expected_log_terms(eta, log_pi, log_dets, wbar, maha) -> float:

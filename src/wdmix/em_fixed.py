@@ -7,6 +7,8 @@ to one recovers the standard Gaussian mixture exactly, step for step.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .core import (
@@ -20,21 +22,25 @@ from .core import (
     Responsibilities,
     WeightMode,
     WeightState,
+    data_scale,
     floored_covariance,
+    weighted_component,
 )
 from .densities import (
+    FixedWeights,
     expected_log_terms,
     log_mixture_density,
     mahalanobis_matrix,
     normalize_log_responsibilities,
-    scaled_gaussian_log_matrix,
 )
 from .errors import EmptyComponent, LengthMismatch, NonPositiveWeight
 
 _EMPTY_REL = 1e-10
 
 
-def _weights_vector(data: Dataset, weights) -> np.ndarray:
+def _regime(data, weights) -> tuple[Dataset, FixedWeights]:
+    """Validated data and the fixed-weight kernel of a weight vector, scalar or FIXED state."""
+    data = as_dataset(data)
     if isinstance(weights, WeightState):
         if weights.mode != WeightMode.FIXED:
             raise NonPositiveWeight("fixed-weight EM requires a FIXED weight state")
@@ -47,7 +53,7 @@ def _weights_vector(data: Dataset, weights) -> np.ndarray:
         raise LengthMismatch(f"{w.shape[0]} weights for {data.n} points")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise NonPositiveWeight("weights must be positive and finite")
-    return w
+    return data, FixedWeights(w[:, None], data.d)
 
 
 def weighted_m_step(
@@ -55,6 +61,7 @@ def weighted_m_step(
     eta: np.ndarray,
     weight_matrix: np.ndarray,
     covariance_shape: CovarianceShape,
+    fallback_scale: float,
     reseed_empty: bool = True,
 ) -> MixtureModel:
     """Closed-form parameter update shared by both weighting regimes.
@@ -63,15 +70,14 @@ def weighted_m_step(
     weights, (n, K) for per-component posterior weight means.  Proportions
     use plain responsibility sums; means and covariances use
     weight-multiplied responsibilities, but the covariance denominator stays
-    unweighted.
+    unweighted.  ``fallback_scale`` is the data's :func:`data_scale`, the
+    covariance ridge of a collapsed component.
     """
-    n, d = points.shape
-    k = eta.shape[1]
+    n = points.shape[0]
     shape = CovarianceShape(covariance_shape)
     resp_sums = eta.sum(axis=0)
     omega = eta * weight_matrix  # (n, K)
     omega_sums = omega.sum(axis=0)
-    global_scale = float(np.trace(np.atleast_2d(np.cov(points.T, bias=True)))) / d
 
     empty = resp_sums < _EMPTY_REL * n
     if np.any(empty) and not reseed_empty:
@@ -82,7 +88,7 @@ def weighted_m_step(
 
     comps = []
     reseed_order = None
-    for j in range(k):
+    for j in range(eta.shape[1]):
         if empty[j]:
             if reseed_order is None:
                 # Points least claimed by any component make the best reseeds.
@@ -93,25 +99,86 @@ def weighted_m_step(
             cov = diff.T @ diff / n
             if shape == CovarianceShape.DIAGONAL:
                 cov = np.diagonal(cov).copy()
+            cov = floored_covariance(cov, fallback_scale)
         else:
-            mu = omega[:, j] @ points / omega_sums[j]
-            diff = points - mu
-            if shape == CovarianceShape.DIAGONAL:
-                cov = (omega[:, j] @ (diff * diff)) / resp_sums[j]
-            else:
-                cov = (diff * omega[:, j : j + 1]).T @ diff / resp_sums[j]
-        comps.append(GaussianComponent(mu, floored_covariance(cov, global_scale)))
+            mu, cov = weighted_component(
+                points, omega[:, j], omega_sums[j], resp_sums[j], shape, fallback_scale
+            )
+        comps.append(GaussianComponent(mu, cov))
     return MixtureModel(tuple(comps), props, shape)
+
+
+def log_densities(points: np.ndarray, model: MixtureModel, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(n, K) squared Mahalanobis distances and log densities under a weighting regime."""
+    maha = mahalanobis_matrix(points, model.components)
+    return maha, kernel.log_density(maha, np.array([c.log_det for c in model.components]))
+
+
+def mixture_posterior(points: np.ndarray, model: MixtureModel, kernel) -> tuple:
+    """One e-step under a weighting regime: (Mahalanobis matrix, responsibilities, log-likelihood).
+
+    The row log-normalisers of the responsibilities are the points'
+    log-likelihoods, so no separate likelihood pass is needed.
+    """
+    maha, log_weighted = log_densities(points, model, kernel)
+    with np.errstate(divide="ignore"):
+        log_weighted += np.log(model.proportions)[None, :]
+    eta, log_norm = normalize_log_responsibilities(log_weighted)
+    return maha, eta, float(np.sum(log_norm))
+
+
+def expected_terms(points: np.ndarray, model: MixtureModel, eta: np.ndarray, wbar: np.ndarray) -> float:
+    """Parameter-dependent expected complete-data objective; ``wbar`` holds the M-step weights."""
+    active = model.proportions > 0.0
+    comps = [c for c, keep in zip(model.components, active) if keep]
+    maha = mahalanobis_matrix(points, comps)
+    log_pi = np.log(model.proportions[active])
+    if wbar.shape[1] > 1:
+        wbar = wbar[:, active]
+    log_dets = np.array([c.log_det for c in comps])
+    return expected_log_terms(eta[:, active], log_pi, log_dets, wbar, maha)
+
+
+def run_em(points: np.ndarray, initial_model: MixtureModel, kernel, config: FitConfig) -> tuple:
+    """The EM loop of both weighting regimes.
+
+    Each iteration computes one Mahalanobis matrix, one log-density matrix
+    and one row normalisation (:func:`mixture_posterior`).  The trace starts
+    with the initial model's log-likelihood.  Returns the report, without
+    weights, and the final model's Mahalanobis matrix.
+    """
+    fallback_scale = data_scale(points)
+    model = initial_model
+    maha, eta, ll = mixture_posterior(points, model, kernel)
+    trace = [ll]
+    converged = False
+    iterations = 0
+    for _ in range(config.max_iter):
+        model = weighted_m_step(
+            points, eta, kernel.weight_means(maha), model.covariance_shape, fallback_scale
+        )
+        maha, eta, ll = mixture_posterior(points, model, kernel)
+        trace.append(ll)
+        iterations += 1
+        prev = trace[-2]
+        if abs(ll - prev) < config.rel_tol * max(abs(prev), 1e-300):
+            converged = True
+            break
+    report = FitReport(
+        objective_trace=tuple(trace),
+        final_model=model,
+        final_responsibilities=Responsibilities(eta),
+        final_weights=None,
+        iterations=iterations,
+        converged=converged,
+    )
+    return report, maha
 
 
 def e_step(data, model: MixtureModel, weights) -> Responsibilities:
     """Responsibilities under scaled-Gaussian densities with fixed weights."""
-    data = as_dataset(data)
-    w = _weights_vector(data, weights)
-    log_dens = scaled_gaussian_log_matrix(data.points, model.components, w)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.proportions)
-    return Responsibilities(normalize_log_responsibilities(log_dens + log_pi[None, :]))
+    data, kernel = _regime(data, weights)
+    return Responsibilities(mixture_posterior(data.points, model, kernel)[1])
 
 
 def m_step(
@@ -122,22 +189,21 @@ def m_step(
     reseed_empty: bool = True,
 ) -> MixtureModel:
     """Weighted parameter update for fixed weights."""
-    data = as_dataset(data)
-    w = _weights_vector(data, weights)
+    data, kernel = _regime(data, weights)
     return weighted_m_step(
         data.points,
         responsibilities.matrix,
-        w[:, None],
+        kernel.w,
         covariance_shape,
+        data_scale(data.points),
         reseed_empty=reseed_empty,
     )
 
 
 def loglik(data, model: MixtureModel, weights) -> float:
     """Observed-data log-likelihood sum_i log sum_k pi_k N(x_i; mu_k, Sigma_k / w_i)."""
-    data = as_dataset(data)
-    w = _weights_vector(data, weights)
-    log_dens = scaled_gaussian_log_matrix(data.points, model.components, w)
+    data, kernel = _regime(data, weights)
+    _, log_dens = log_densities(data.points, model, kernel)
     return float(np.sum(log_mixture_density(data.points, model, log_dens)))
 
 
@@ -153,15 +219,8 @@ def expected_complete_loglik(
     sum_ik eta_ik (log pi_k - 0.5 log|Sigma_k| - 0.5 w_i Mah^2_ik),
     restricted to components with positive proportion.
     """
-    data = as_dataset(data)
-    w = _weights_vector(data, weights)
-    eta = responsibilities.matrix
-    active = model.proportions > 0.0
-    comps = [c for c, keep in zip(model.components, active) if keep]
-    maha = mahalanobis_matrix(data.points, comps)
-    log_dets = np.array([c.log_det for c in comps])
-    log_pi = np.log(model.proportions[active])
-    return expected_log_terms(eta[:, active], log_pi, log_dets, w[:, None], maha)
+    data, kernel = _regime(data, weights)
+    return expected_terms(data.points, model, responsibilities.matrix, kernel.w)
 
 
 def fit(data, initial_model: MixtureModel, weights, config: FitConfig | None = None) -> FitReport:
@@ -170,31 +229,6 @@ def fit(data, initial_model: MixtureModel, weights, config: FitConfig | None = N
     The objective trace starts with the initial model's log-likelihood and
     records one value per iteration.
     """
-    cfg = config or FitConfig()
-    data = as_dataset(data)
-    w = _weights_vector(data, weights)
-    model = initial_model
-    trace = [loglik(data, model, w)]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iter):
-        eta = e_step(data, model, w)
-        model = weighted_m_step(
-            data.points, eta.matrix, w[:, None], model.covariance_shape
-        )
-        ll = loglik(data, model, w)
-        trace.append(ll)
-        iterations += 1
-        prev = trace[-2]
-        if abs(ll - prev) < cfg.rel_tol * max(abs(prev), 1e-300):
-            converged = True
-            break
-    eta = e_step(data, model, w)
-    return FitReport(
-        objective_trace=tuple(trace),
-        final_model=model,
-        final_responsibilities=eta,
-        final_weights=WeightState.fixed(w),
-        iterations=iterations,
-        converged=converged,
-    )
+    data, kernel = _regime(data, weights)
+    report, _ = run_em(data.points, initial_model, kernel, config or FitConfig())
+    return replace(report, final_weights=WeightState.fixed(kernel.w[:, 0]))

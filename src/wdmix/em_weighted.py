@@ -10,6 +10,8 @@ initialisation and never re-estimated.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .core import (
@@ -22,19 +24,16 @@ from .core import (
     Responsibilities,
     WeightMode,
     WeightState,
+    data_scale,
 )
-from .densities import (
-    expected_log_terms,
-    log_mixture_density,
-    mahalanobis_matrix,
-    normalize_log_responsibilities,
-    pearson7_log_matrix,
-)
-from .em_fixed import weighted_m_step
+from .densities import GammaWeights, log_mixture_density, mahalanobis_matrix
+from .em_fixed import expected_terms, log_densities, mixture_posterior, run_em, weighted_m_step
 from .errors import DimensionMismatch, LengthMismatch, NonPositiveShape
 
 
-def _random_state(data: Dataset, weight_state) -> WeightState:
+def _regime(data, weight_state) -> tuple[Dataset, WeightState, GammaWeights]:
+    """Validated data, gamma priors and their kernel from a RANDOM state or an (alpha, beta) pair."""
+    data = as_dataset(data)
     if isinstance(weight_state, tuple):
         if len(weight_state) != 2:
             raise NonPositiveShape("gamma priors must be an (alpha, beta) pair")
@@ -43,19 +42,18 @@ def _random_state(data: Dataset, weight_state) -> WeightState:
         raise NonPositiveShape("random-weight EM requires gamma weight priors")
     if weight_state.n != data.n:
         raise LengthMismatch(f"{weight_state.n} weight priors for {data.n} points")
-    return weight_state
+    kernel = GammaWeights(weight_state.prior_alpha[:, None], weight_state.prior_beta[:, None], data.d)
+    return data, weight_state, kernel
+
+
+def _posterior_state(state: WeightState, kernel: GammaWeights, maha: np.ndarray) -> WeightState:
+    return state.with_posterior(kernel.post_a[:, 0], kernel.posterior_rates(maha))
 
 
 def e_step_assignments(data, model: MixtureModel, weight_state) -> Responsibilities:
     """Responsibilities from prior-marginalised (Pearson VII) densities."""
-    data = as_dataset(data)
-    state = _random_state(data, weight_state)
-    log_dens = pearson7_log_matrix(
-        data.points, model.components, state.prior_alpha, state.prior_beta
-    )
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.proportions)
-    return Responsibilities(normalize_log_responsibilities(log_dens + log_pi[None, :]))
+    data, _, kernel = _regime(data, weight_state)
+    return Responsibilities(mixture_posterior(data.points, model, kernel)[1])
 
 
 def e_step_weights(data, model: MixtureModel, weight_state) -> WeightState:
@@ -65,20 +63,20 @@ def e_step_weights(data, model: MixtureModel, weight_state) -> WeightState:
     posterior rates b_ik = beta_i + Mah^2(x_i, component k) / 2 and the
     posterior means a_i / b_ik are per component.
     """
-    data = as_dataset(data)
-    state = _random_state(data, weight_state)
-    maha = mahalanobis_matrix(data.points, model.components)
-    post_a = state.prior_alpha + 0.5 * data.d
-    post_b = state.prior_beta[:, None] + 0.5 * maha
-    return state.with_posterior(post_a, post_b)
+    data, state, kernel = _regime(data, weight_state)
+    return _posterior_state(state, kernel, mahalanobis_matrix(data.points, model.components))
 
 
-def marginal_weight_means(weight_state: WeightState, responsibilities: Responsibilities) -> np.ndarray:
-    """Assignment-averaged posterior weight means, one per point."""
+def _require_posterior(weight_state: WeightState, responsibilities: Responsibilities) -> None:
     if weight_state.post_mean is None:
         raise DimensionMismatch("weight state has no posterior; run the weight step first")
     if weight_state.post_mean.shape != responsibilities.matrix.shape:
         raise DimensionMismatch("posterior means and responsibilities disagree in shape")
+
+
+def marginal_weight_means(weight_state: WeightState, responsibilities: Responsibilities) -> np.ndarray:
+    """Assignment-averaged posterior weight means, one per point."""
+    _require_posterior(weight_state, responsibilities)
     return np.sum(responsibilities.matrix * weight_state.post_mean, axis=1)
 
 
@@ -91,15 +89,13 @@ def m_step(
 ) -> MixtureModel:
     """Parameter update using per-component posterior weight means."""
     data = as_dataset(data)
-    if weight_state.post_mean is None:
-        raise DimensionMismatch("weight state has no posterior; run the weight step first")
-    if weight_state.post_mean.shape != responsibilities.matrix.shape:
-        raise DimensionMismatch("posterior means and responsibilities disagree in shape")
+    _require_posterior(weight_state, responsibilities)
     return weighted_m_step(
         data.points,
         responsibilities.matrix,
         weight_state.post_mean,
         covariance_shape,
+        data_scale(data.points),
         reseed_empty=reseed_empty,
     )
 
@@ -109,11 +105,8 @@ def marginal_loglik(data, model: MixtureModel, weight_state) -> float:
 
     sum_i log sum_k pi_k * PearsonVII(x_i; mu_k, Sigma_k, alpha_i, beta_i).
     """
-    data = as_dataset(data)
-    state = _random_state(data, weight_state)
-    log_dens = pearson7_log_matrix(
-        data.points, model.components, state.prior_alpha, state.prior_beta
-    )
+    data, _, kernel = _regime(data, weight_state)
+    _, log_dens = log_densities(data.points, model, kernel)
     return float(np.sum(log_mixture_density(data.points, model, log_dens)))
 
 
@@ -131,19 +124,8 @@ def expected_complete_loglik(
     positive proportion.
     """
     data = as_dataset(data)
-    if weight_state.post_mean is None:
-        raise DimensionMismatch("weight state has no posterior; run the weight step first")
-    eta = responsibilities.matrix
-    if weight_state.post_mean.shape != eta.shape:
-        raise DimensionMismatch("posterior means and responsibilities disagree in shape")
-    active = model.proportions > 0.0
-    comps = [c for c, keep in zip(model.components, active) if keep]
-    maha = mahalanobis_matrix(data.points, comps)
-    log_dets = np.array([c.log_det for c in comps])
-    log_pi = np.log(model.proportions[active])
-    return expected_log_terms(
-        eta[:, active], log_pi, log_dets, weight_state.post_mean[:, active], maha
-    )
+    _require_posterior(weight_state, responsibilities)
+    return expected_terms(data.points, model, responsibilities.matrix, weight_state.post_mean)
 
 
 def fit(
@@ -158,32 +140,8 @@ def fit(
     the parameters move.  The trace records the weight-marginalised
     log-likelihood, starting from the initial model.
     """
-    cfg = config or FitConfig()
-    data = as_dataset(data)
-    state = _random_state(data, weight_state)
-    model = initial_model
-    trace = [marginal_loglik(data, model, state)]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iter):
-        eta = e_step_assignments(data, model, state)
-        posterior = e_step_weights(data, model, state)
-        model = m_step(data, eta, posterior, model.covariance_shape)
-        ll = marginal_loglik(data, model, state)
-        trace.append(ll)
-        iterations += 1
-        prev = trace[-2]
-        if abs(ll - prev) < cfg.rel_tol * max(abs(prev), 1e-300):
-            converged = True
-            break
-    eta = e_step_assignments(data, model, state)
-    posterior = e_step_weights(data, model, state)
-    final_weights = posterior.with_marginal(marginal_weight_means(posterior, eta))
-    return FitReport(
-        objective_trace=tuple(trace),
-        final_model=model,
-        final_responsibilities=eta,
-        final_weights=final_weights,
-        iterations=iterations,
-        converged=converged,
-    )
+    data, state, kernel = _regime(data, weight_state)
+    report, maha = run_em(data.points, initial_model, kernel, config or FitConfig())
+    posterior = _posterior_state(state, kernel, maha)
+    marginal = marginal_weight_means(posterior, report.final_responsibilities)
+    return replace(report, final_weights=posterior.with_marginal(marginal))

@@ -15,6 +15,7 @@ from .core import (
     Dataset,
     GaussianComponent,
     MixtureModel,
+    data_scale,
     floored_covariance,
 )
 from .errors import EmptyCluster, KTooLarge, NonPositiveWeight, QTooLarge
@@ -116,9 +117,9 @@ def model_from_labels(data, labels, covariance_shape=CovarianceShape.FULL) -> Mi
     """
     points = _as_points(data)
     labels = np.asarray(labels, dtype=np.int64)
-    n, d = points.shape
+    n = points.shape[0]
     k = int(labels.max()) + 1
-    global_scale = float(np.trace(np.atleast_2d(np.cov(points.T, bias=True)))) / d
+    global_scale = data_scale(points)
     means, covs, props = [], [], []
     shape = CovarianceShape(covariance_shape)
     for j in range(k):

@@ -11,11 +11,9 @@ with the shortest message length over all stages wins.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-
 from . import em_fixed, em_weighted
 from .core import (
     AnnihilationEvent,
@@ -27,10 +25,11 @@ from .core import (
     WeightMode,
     WeightState,
     as_dataset,
+    data_scale,
     factor_covariance,
-    floored_covariance,
+    weighted_component,
 )
-from .densities import expected_log_terms, normalize_log_responsibilities, squared_distances
+from .densities import GammaWeights, expected_log_terms, normalize_log_responsibilities, squared_distances
 from .errors import AllAnnihilated, DimensionMismatch, EmptyInput, NoActiveComponents
 from .initialization import (
     kmeans,
@@ -38,9 +37,6 @@ from .initialization import (
     model_from_labels,
     pipeline_gamma_priors,
 )
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 
 @dataclass(frozen=True)
 class MmlConfig:
@@ -135,15 +131,17 @@ def _two_part_length(pis: np.ndarray, q_value: float, m: int, n: int) -> float:
 class _SelectionEngine:
     """Raw-array state of one selection run, one column per component.
 
-    Components are held as plain mean / covariance / log-determinant arrays.  ``maha`` and ``log_dens`` cache each component's squared
-    Mahalanobis distances and its log density without log pi, one column per
-    component; an update recomputes only the columns it changed.  Value
-    objects are built only by :meth:`freeze`.
+    Components are held as plain mean / covariance / log-determinant arrays.
+    ``maha`` and ``log_dens`` cache each component's squared Mahalanobis
+    distances and its log density without log pi, one column per component;
+    an update recomputes only the columns it changed.  Value objects are
+    built only by :meth:`freeze`.
 
-    The cached columns are computed with the same elementwise expressions,
-    and the matrices handed to row and column sums keep the same memory
-    layout, as a full (n, K+) recomputation would: NumPy's pairwise sums
-    depend on layout, and the results are meant to match bit for bit.
+    The densities come from the weighting-regime kernel, applied to (n, 1)
+    column slices, and the matrices handed to row and column sums keep the
+    same memory layout as a full (n, K+) recomputation would: NumPy's
+    pairwise sums depend on layout, and the results are meant to match bit
+    for bit.
     """
 
     def __init__(self, data, config, weights, covariance_shape, seed, initial_model, restarts, q, bandwidth):
@@ -151,21 +149,31 @@ class _SelectionEngine:
         X = data.points
         self.X = X
         self.n, self.d = X.shape
-        self.half = 0.5 * self.d
         self.shape = CovarianceShape(covariance_shape)
         self.random = config.weight_mode == WeightMode.RANDOM
-        # Reject malformed weights before the k-means restarts run.
+        self.carried = False
+        # Weights and initial models are checked before the k-means restarts run.
         if weights is None:
-            prior_state = fixed_w = None
-        elif self.random:
+            weights = knn_kernel_weights(X, q=min(q, self.n - 1), bandwidth=bandwidth)
+            if self.random:
+                weights = pipeline_gamma_priors(weights)
+        if self.random:
             if not isinstance(weights, WeightState):
                 weights = tuple(weights)
-            prior_state = em_weighted._random_state(data, weights)
+            _, self.prior_state, self.kernel = em_weighted._regime(data, weights)
+            # Once carried, the assignment step uses the posterior shapes with
+            # per-component rates: column j of ``ez_b`` holds beta0 + Mah^2_j / 2
+            # as of the latest weight-posterior step.
+            self.carried_kernel = GammaWeights(self.kernel.post_a, self.kernel.beta, self.d)
         else:
-            fixed_w = em_fixed._weights_vector(data, weights)
+            _, self.kernel = em_fixed._regime(data, weights)
         if initial_model is None:
             labels, _ = kmeans(X, config.k_high, restarts=restarts, seed=seed)
             initial_model = model_from_labels(X, labels, self.shape)
+        elif initial_model.d != self.d:
+            raise DimensionMismatch(f"initial model has d={initial_model.d}, data has d={self.d}")
+        elif CovarianceShape(initial_model.covariance_shape) != self.shape:
+            raise DimensionMismatch("initial model storage does not match covariance_shape")
         self.k_total = initial_model.n_components
         self.m = initial_model.free_params_per_component
         if self.n <= config.k_high * self.m / 2.0:
@@ -176,7 +184,7 @@ class _SelectionEngine:
             )
         self.pis = np.array(initial_model.proportions, dtype=np.float64)
         self.active = [k for k in range(self.k_total) if self.pis[k] > 0.0]
-        self.global_scale = float(np.trace(np.atleast_2d(np.cov(X.T, bias=True)))) / self.d
+        self.global_scale = data_scale(X)
 
         self.means = [None] * self.k_total
         self.covs = [None] * self.k_total
@@ -184,35 +192,12 @@ class _SelectionEngine:
         # Column-major, so every per-component column is contiguous.
         self.maha = np.empty((self.n, self.k_total), order="F")
         self.log_dens = np.empty((self.n, self.k_total), order="F")
+        self.ez_b = np.empty((self.n, self.k_total), order="F")  # carried rates, random weights only
         self.dirty: set = set()  # log_dens columns to recompute
         self.refreshed: set = set()  # components moved since the rates were last carried
         for k, comp in enumerate(initial_model.components):
             factor = comp.covariance if comp.is_diagonal else comp.chol
             self._store(k, comp.mean, comp.covariance, factor, comp.log_det)
-
-        if self.random:
-            if prior_state is None:
-                kernel = knn_kernel_weights(X, q=min(q, self.n - 1), bandwidth=bandwidth)
-                prior_state = WeightState.random_prior(*pipeline_gamma_priors(kernel))
-            self.prior_state = prior_state
-            alpha0 = prior_state.prior_alpha
-            self.beta0 = prior_state.prior_beta
-            self.post_a = alpha0 + self.half
-            # Per-regime terms of the Pearson VII column: (log-gamma ratio,
-            # shape + d/2).  The prior regime's rates never move.
-            self.prior_terms = (gammaln(alpha0 + self.half) - gammaln(alpha0), alpha0 + self.half)
-            self.post_terms = (gammaln(self.post_a + self.half) - gammaln(self.post_a), self.post_a + self.half)
-            self.prior_rate_terms = (self.half * (_LOG_2PI + np.log(self.beta0)), 2.0 * self.beta0)
-            # Rates feeding the assignment step once carried: column j holds
-            # beta0 + Mah^2_j / 2 as of the latest weight-posterior step.
-            self.ez_b = np.empty((self.n, self.k_total), order="F")
-            self.carried = False
-        else:
-            if fixed_w is None:
-                fixed_w = knn_kernel_weights(X, q=min(q, self.n - 1), bandwidth=bandwidth)
-            self.fixed_w = fixed_w
-            self.fixed_base = 0.5 * self.d * np.log(fixed_w) - self.half * _LOG_2PI
-            self.half_w = 0.5 * fixed_w
 
     # -- cache upkeep -----------------------------------------------------
 
@@ -225,19 +210,11 @@ class _SelectionEngine:
         self.refreshed.add(k)
 
     def _column(self, j: int) -> np.ndarray:
-        """Log density of every point under component j, without log pi."""
-        half_ld = 0.5 * self.log_dets[j]
-        maha = self.maha[:, j]
-        if not self.random:
-            return self.fixed_base - half_ld - self.half_w * maha
+        """(n, 1) log density of every point under component j, without log pi."""
+        kernel = self.kernel
         if self.carried:
-            gl, aa_half = self.post_terms
-            bb = self.ez_b[:, j]
-            rate_norm, two_b = self.half * (_LOG_2PI + np.log(bb)), 2.0 * bb
-        else:
-            gl, aa_half = self.prior_terms
-            rate_norm, two_b = self.prior_rate_terms
-        return gl - half_ld - rate_norm - aa_half * np.log1p(maha / two_b)
+            kernel = self.carried_kernel.with_rates(self.ez_b[:, j : j + 1])
+        return kernel.log_density(self.maha[:, j : j + 1], self.log_dets[j])
 
     def _carry_rates(self) -> None:
         """Weight-posterior step: rates of every moved component feed the next assignment.
@@ -248,18 +225,19 @@ class _SelectionEngine:
         """
         self.carried = True
         for j in self.refreshed.intersection(self.active):
-            self.ez_b[:, j] = self.beta0 + 0.5 * self.maha[:, j]
+            self.ez_b[:, j : j + 1] = self.kernel.posterior_rates(self.maha[:, j : j + 1])
             self.dirty.add(j)
         self.refreshed.clear()
 
     def _responsibilities(self, act: np.ndarray) -> np.ndarray:
         for j in self.dirty.intersection(self.active):
-            self.log_dens[:, j] = self._column(j)
+            self.log_dens[:, j : j + 1] = self._column(j)
         self.dirty.clear()
         log_weighted = np.take(self.log_dens, act, axis=1)
         with np.errstate(divide="ignore"):
             log_weighted += np.log(self.pis[act])[None, :]
-        return normalize_log_responsibilities(log_weighted)
+        eta, _ = normalize_log_responsibilities(log_weighted)
+        return eta
 
     # -- one component-wise sweep ----------------------------------------
 
@@ -267,12 +245,9 @@ class _SelectionEngine:
         carry = self.random and self.cfg.assignment_rates == "carried"
         for k in list(self.active):
             eta = self._responsibilities(np.array(self.active))
-            if self.random:
-                wbar = self.post_a / (self.beta0 + 0.5 * self.maha[:, k])
-                if carry:
-                    self._carry_rates()
-            else:
-                wbar = self.fixed_w
+            wbar = self.kernel.weight_means(self.maha[:, k : k + 1])[:, 0]
+            if carry:
+                self._carry_rates()
             sums = eta.sum(axis=0)
             new_pis = truncated_proportions(sums, self.m)
             pos = self.active.index(k)
@@ -280,13 +255,9 @@ class _SelectionEngine:
             self.pis[k] = new_pis[pos]
             if self.pis[k] > 0.0:
                 omega = eta[:, pos] * wbar
-                mu = omega @ self.X / omega.sum()
-                diff = self.X - mu
-                if self.shape == CovarianceShape.DIAGONAL:
-                    cov = omega @ (diff * diff) / sums[pos]
-                else:
-                    cov = (diff * omega[:, None]).T @ diff / sums[pos]
-                cov = floored_covariance(cov, self.global_scale)
+                mu, cov = weighted_component(
+                    self.X, omega, omega.sum(), sums[pos], self.shape, self.global_scale
+                )
                 chol, log_det = factor_covariance(cov)
                 self._store(k, mu, cov, cov if cov.ndim == 1 else chol, log_det)
             else:
@@ -315,28 +286,27 @@ class _SelectionEngine:
         act = np.array(self.active)
         eta = self._responsibilities(act)
         pis = self.pis[act] / self.pis[act].sum()
-        if self.random:
-            b_cur = self.beta0[:, None] + 0.5 * self.maha[:, act]
-            wbar = self.post_a[:, None] / b_cur
-        else:
-            b_cur = None
-            wbar = self.fixed_w[:, None]
+        wbar = self.kernel.weight_means(self.maha[:, act])
         maha = np.take(self.maha, act, axis=1)
         q_value = expected_log_terms(eta, np.log(pis), self.log_dets[act], wbar, maha)
-        self._measured = (act, pis, eta, b_cur)
+        self._measured = (act, pis, eta)
         return _two_part_length(pis, q_value, self.m, self.n)
 
     def freeze(self) -> tuple:
-        """Validated model, responsibilities and weights of the last measured state."""
-        act, pis, eta, b_cur = self._measured
+        """Validated model, responsibilities and weights of the last measured state.
+
+        Called before any further sweep, so the cached distances are still
+        those of the measured state.
+        """
+        act, pis, eta = self._measured
         comps = tuple(GaussianComponent(self.means[k], self.covs[k]) for k in act)
         model = MixtureModel(comps, pis, self.shape)
         resp = Responsibilities(eta)
         if self.random:
-            ws = self.prior_state.with_posterior(self.post_a, b_cur)
-            ws = ws.with_marginal(np.sum(resp.matrix * ws.post_mean, axis=1))
+            ws = em_weighted._posterior_state(self.prior_state, self.kernel, self.maha[:, act])
+            ws = ws.with_marginal(em_weighted.marginal_weight_means(ws, resp))
         else:
-            ws = WeightState.fixed(self.fixed_w)
+            ws = WeightState.fixed(self.kernel.w[:, 0])
         return model, resp, ws
 
 

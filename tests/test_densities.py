@@ -210,9 +210,11 @@ class TestMatrixForms:
 
     def test_normalize_rows(self, rng):
         logits = rng.normal(size=(10, 3)) * 30.0
-        eta = normalize_log_responsibilities(logits)
+        eta, log_norm = normalize_log_responsibilities(logits)
         assert np.allclose(eta.sum(axis=1), 1.0, atol=1e-15)
         assert np.allclose(eta, np.exp(logits - logsumexp(logits, axis=1, keepdims=True)))
+        assert log_norm.shape == (10,)
+        assert np.allclose(log_norm, logsumexp(logits, axis=1), rtol=1e-14)
 
     def test_normalize_rejects_dead_row(self):
         with pytest.raises(DegenerateRow):

@@ -299,6 +299,37 @@ class TestWeightValidation:
             select_model(blobs_2d, MmlConfig(k_high=4), weights=(alpha, np.ones(150)), seed=0)
 
 
+class TestInitialModelValidation:
+    """A mismatched initial model is rejected before any sweep runs."""
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a sweep ran before the initial model was checked")
+
+        monkeypatch.setattr("wdmix.model_selection._SelectionEngine.sweep", fail)
+
+    def test_wrong_dimension(self, blobs_2d, no_sweep):
+        init = model_from_parameters([np.zeros(3), np.ones(3)], [np.eye(3)] * 2, [0.5, 0.5])
+        with pytest.raises(DimensionMismatch):
+            select_model(blobs_2d, MmlConfig(k_high=2), initial_model=init, seed=0)
+
+    @pytest.mark.parametrize("budget", [0, 50])
+    def test_full_storage_for_diagonal_shape(self, blobs_2d, blobs_model, no_sweep, budget):
+        config = MmlConfig(k_high=3, max_outer_iter=budget)
+        with pytest.raises(DimensionMismatch):
+            select_model(
+                blobs_2d, config, covariance_shape="diagonal", initial_model=blobs_model, seed=0
+            )
+
+    def test_diagonal_storage_for_full_shape(self, blobs_2d, no_sweep):
+        init = model_from_parameters(
+            [np.zeros(2), np.full(2, 100.0)], [np.ones(2)] * 2, [0.5, 0.5], CovarianceShape.DIAGONAL
+        )
+        with pytest.raises(DimensionMismatch):
+            select_model(blobs_2d, MmlConfig(k_high=2), initial_model=init, seed=0)
+
+
 @pytest.fixture(scope="module")
 def small_contaminated():
     return contaminate_uniform(generate_sim("easy", 120, seed=5), 0.3, seed=6)
