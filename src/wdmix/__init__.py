@@ -49,7 +49,7 @@ from .initialization import (
     knn_kernel_weights,
     model_from_labels,
 )
-from .model_selection import MmlConfig, MmlState, message_length, select_model, truncated_proportions
+from .model_selection import MmlConfig, message_length, select_model, truncated_proportions
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "GaussianComponent",
     "MixtureModel",
     "MmlConfig",
-    "MmlState",
     "OutlierScoreReport",
     "Responsibilities",
     "WeightMode",

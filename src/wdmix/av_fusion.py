@@ -19,14 +19,11 @@ import numpy as np
 from .core import Dataset, MixtureModel, Responsibilities, validate_dataset
 from .em_fixed import e_step
 from .errors import LengthMismatch, NonPositiveWeight, SingleModality
+from .initialization import kernel_sums, pipeline_gamma_priors
 from .model_selection import MmlConfig, select_model
 
 AUDIO = "a"
 VISUAL = "v"
-
-# Kernel sums are clamped like the nearest-neighbour weights so gamma priors
-# stay valid for points isolated from the other modality.
-_WEIGHT_FLOOR = 1e-12
 
 
 class ComponentTag(str, Enum):
@@ -42,7 +39,7 @@ def cross_modal_weights(dataset: Dataset, bandwidth: float = 100.0) -> np.ndarra
     vice versa; unlike the nearest-neighbour weights there is no neighbour
     truncation.
     """
-    if bandwidth <= 0.0:
+    if not bandwidth > 0.0:
         raise NonPositiveWeight("bandwidth must be positive")
     if dataset.modality is None:
         raise SingleModality("dataset has no modality tags")
@@ -59,8 +56,8 @@ def cross_modal_weights(dataset: Dataset, bandwidth: float = 100.0) -> np.ndarra
             + np.sum(pts[other] ** 2, axis=1)[None, :]
         )
         np.maximum(d2, 0.0, out=d2)
-        weights[mask] = np.sum(np.exp(-d2 / bandwidth), axis=1)
-    return np.maximum(weights, _WEIGHT_FLOOR)
+        weights[mask] = kernel_sums(d2, bandwidth)
+    return weights
 
 
 def classify_components(
@@ -140,8 +137,6 @@ def analyze_segment(segment: Dataset, config: AvConfig | None = None) -> AvSegme
     """Cluster one segment with cross-modal weights and tag the components."""
     cfg = config or AvConfig()
     weights = cross_modal_weights(segment, bandwidth=cfg.bandwidth)
-    from .initialization import pipeline_gamma_priors
-
     alpha, beta = pipeline_gamma_priors(weights)
     mml = MmlConfig(k_high=min(cfg.k_high, segment.n), k_low=cfg.k_low, epsilon=cfg.epsilon)
     report = select_model(

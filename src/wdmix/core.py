@@ -491,7 +491,7 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iter < 0:
             raise DimensionMismatch("max_iter must be >= 0")
-        if self.rel_tol < 0.0:
+        if not self.rel_tol >= 0.0:
             raise DimensionMismatch("rel_tol must be >= 0")
 
 

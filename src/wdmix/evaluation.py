@@ -10,6 +10,7 @@ from scipy.stats import rankdata
 
 from .core import WeightMode, WeightState
 from .errors import (
+    DimensionMismatch,
     EmptyCluster,
     LengthMismatch,
     MissingFlags,
@@ -24,7 +25,7 @@ def davies_bouldin(points, labels, centers) -> float:
     Cluster scatter is the mean (unsquared) Euclidean distance of members to
     the given center; the ratio for a pair is the scatter sum over the
     center distance.  Lower is better.  Duplicate centers give an infinite
-    index rather than an error.
+    index rather than an error; a label outside [0, K) is an error.
     """
     pts = np.asarray(points, dtype=np.float64)
     labs = np.asarray(labels, dtype=np.int64)
@@ -34,6 +35,8 @@ def davies_bouldin(points, labels, centers) -> float:
     k = cen.shape[0]
     if k < 2:
         raise SingleCluster("Davies-Bouldin needs at least two clusters")
+    if np.any((labs < 0) | (labs >= k)):
+        raise DimensionMismatch(f"labels must lie in [0, {k}) for {k} centers")
     scatter = np.empty(k)
     for j in range(k):
         members = pts[labs == j]

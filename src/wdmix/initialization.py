@@ -20,8 +20,6 @@ from .core import (
 )
 from .errors import EmptyCluster, KTooLarge, NonPositiveWeight, QTooLarge
 
-# Above this size pairwise brute force gives way to a k-d tree.
-_BRUTE_FORCE_LIMIT = 20_000
 # Kernel sums are clamped away from zero so downstream gamma priors stay valid
 # even for points isolated far beyond the kernel bandwidth.
 _WEIGHT_FLOOR = 1e-12
@@ -139,42 +137,28 @@ def model_from_labels(data, labels, covariance_shape=CovarianceShape.FULL) -> Mi
     return MixtureModel(comps, np.asarray(props), shape)
 
 
+def kernel_sums(d2: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Row sums of ``exp(-d2 / bandwidth)``, clamped to a tiny positive floor."""
+    return np.maximum(np.sum(np.exp(-d2 / bandwidth), axis=1), _WEIGHT_FLOOR)
+
+
 def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarray:
     """Local-density weights from a truncated Gaussian kernel sum.
 
     For each point the squared Euclidean distances to its ``q`` nearest
-    neighbours (the point itself excluded) enter ``sum_j exp(-d2_ij /
-    bandwidth)``, so dense regions score close to ``q`` and isolated points
-    close to zero.  Results are clamped to a tiny positive floor.
+    neighbours (the point itself excluded), found with a k-d tree, enter
+    ``sum_j exp(-d2_ij / bandwidth)``, so dense regions score close to ``q``
+    and isolated points close to zero.  Results are clamped to a tiny
+    positive floor.
     """
     points = _as_points(data)
     n = points.shape[0]
     if q < 1 or q >= n:
         raise QTooLarge(f"q={q} needs 1 <= q <= n-1 with n={n}")
-    if bandwidth <= 0.0:
+    if not bandwidth > 0.0:
         raise NonPositiveWeight("bandwidth must be positive")
-    if n <= _BRUTE_FORCE_LIMIT:
-        weights = np.empty(n)
-        sq_norms = np.sum(points**2, axis=1)
-        chunk = max(1, min(n, 1_000_000 // max(n, 1) + 1))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            block = points[start:stop]
-            d2 = (
-                sq_norms[start:stop, None]
-                - 2.0 * block @ points.T
-                + sq_norms[None, :]
-            )
-            np.maximum(d2, 0.0, out=d2)
-            rows = np.arange(start, stop)
-            d2[rows - start, rows] = np.inf  # exclude self
-            nearest = np.partition(d2, q - 1, axis=1)[:, :q]
-            weights[start:stop] = np.sum(np.exp(-nearest / bandwidth), axis=1)
-    else:
-        tree = cKDTree(points)
-        dists, _ = tree.query(points, k=q + 1)
-        weights = np.sum(np.exp(-(dists[:, 1:] ** 2) / bandwidth), axis=1)
-    return np.maximum(weights, _WEIGHT_FLOOR)
+    dists, _ = cKDTree(points).query(points, k=q + 1)
+    return kernel_sums(dists[:, 1:] ** 2, bandwidth)
 
 
 def gamma_priors_from_weights(weights) -> tuple[np.ndarray, np.ndarray]:

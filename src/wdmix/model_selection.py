@@ -59,24 +59,12 @@ class MmlConfig:
     def __post_init__(self):
         if not 1 <= self.k_low <= self.k_high:
             raise DimensionMismatch("need 1 <= k_low <= k_high")
-        if self.epsilon < 0.0 or self.max_outer_iter < 0:
+        if not self.epsilon >= 0.0 or self.max_outer_iter < 0:
             raise DimensionMismatch("epsilon and max_outer_iter must be non-negative")
         if self.assignment_rates not in ("carried", "prior"):
             raise DimensionMismatch("assignment_rates must be 'carried' or 'prior'")
         mode = WeightMode(self.weight_mode)
         object.__setattr__(self, "weight_mode", mode)
-
-
-@dataclass
-class MmlState:
-    """Mutable bookkeeping for one selection run (mostly for introspection)."""
-
-    active: list
-    message_length: float = np.inf
-    best_length: float = np.inf
-    best_model: MixtureModel | None = None
-    best_weights: WeightState | None = None
-    best_responsibilities: Responsibilities | None = None
 
 
 def truncated_proportions(responsibility_sums, free_params: int) -> np.ndarray:
@@ -333,7 +321,8 @@ def select_model(
     engine = _SelectionEngine(
         data, config, weights, covariance_shape, seed, initial_model, restarts, q, bandwidth
     )
-    state = MmlState(active=engine.active)
+    best = None  # (model, responsibilities, weights) of the shortest checkpoint
+    best_length = np.inf
     trace: list[float] = []
     kplus_hist: list[int] = []
     checkpoint_lengths: list[float] = []
@@ -352,7 +341,7 @@ def select_model(
             try:
                 engine.sweep(sweeps, ann_log)
             except AllAnnihilated:
-                if state.best_model is None:
+                if best is None:
                     raise
                 converged = False
                 stop = True
@@ -361,7 +350,6 @@ def select_model(
             trace.append(current)
             kplus_hist.append(len(engine.active))
             sweeps += 1
-            state.message_length = current
             if len_prev is not None and abs(current - len_prev) < config.epsilon * max(
                 abs(len_prev), 1e-300
             ):
@@ -370,9 +358,9 @@ def select_model(
         if stop:
             break
         checkpoint_lengths.append(current)
-        if current < state.best_length:
-            state.best_length = current
-            state.best_model, state.best_responsibilities, state.best_weights = engine.freeze()
+        if current < best_length:
+            best_length = current
+            best = engine.freeze()
         if len(engine.active) > config.k_low:
             act = np.array(engine.active)
             k_star = int(act[int(np.argmin(engine.pis[act]))])
@@ -382,22 +370,22 @@ def select_model(
         else:
             break
 
-    if state.best_model is None:
+    if best is None:
         # Budget ran out before any stage converged; report the current state.
-        length = engine.measure()
-        state.best_length = length
-        state.best_model, state.best_responsibilities, state.best_weights = engine.freeze()
-        checkpoint_lengths.append(length)
+        best_length = engine.measure()
+        best = engine.freeze()
+        checkpoint_lengths.append(best_length)
 
+    model, responsibilities, weight_state = best
     return FitReport(
         objective_trace=tuple(trace),
-        final_model=state.best_model,
-        final_responsibilities=state.best_responsibilities,
-        final_weights=state.best_weights,
+        final_model=model,
+        final_responsibilities=responsibilities,
+        final_weights=weight_state,
         iterations=sweeps,
         converged=converged,
         annihilation_log=tuple(ann_log),
         kplus_history=tuple(kplus_hist),
         checkpoint_lengths=tuple(checkpoint_lengths),
-        best_length=state.best_length,
+        best_length=best_length,
     )

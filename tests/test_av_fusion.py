@@ -78,6 +78,8 @@ class TestCrossModalWeights:
         seg = _segment([[0.0, 0.0]], [[1.0, 0.0]])
         with pytest.raises(NonPositiveWeight):
             cross_modal_weights(seg, bandwidth=0.0)
+        with pytest.raises(NonPositiveWeight):
+            cross_modal_weights(seg, bandwidth=float("nan"))
 
 
 class TestClassifyComponents:

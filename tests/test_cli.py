@@ -16,6 +16,7 @@ from wdmix.cli import (
     main,
     read_assignments_csv,
     read_dataset_csv,
+    write_assignments_csv,
     write_dataset_csv,
 )
 
@@ -360,6 +361,25 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("frobnicate")
         assert excinfo.value.code == 2
+
+    def test_nan_tolerance_exits_one(self, small_csv, tmp_path, capsys):
+        code = run_cli(
+            "fit", "--input", small_csv, "--k", 2, "--tol", "nan", "--out", tmp_path / "x"
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_assignment_label_without_center_exits_one(self, fitted, small_csv, tmp_path, capsys):
+        labels = read_assignments_csv(f"{fitted}.assignments.csv")
+        labels[-1] = 7  # the model has five components
+        stray = tmp_path / "stray.assignments.csv"
+        write_assignments_csv(stray, labels)
+        code = run_cli(
+            "evaluate", "--model", f"{fitted}.model.json", "--assignments", stray,
+            "--truth", small_csv, "--metrics", "db",
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_corrupt_model_json_exits_one(self, small_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -256,3 +256,5 @@ class TestFitConfig:
             FitConfig(max_iter=-1)
         with pytest.raises(DimensionMismatch):
             FitConfig(rel_tol=-0.1)
+        with pytest.raises(DimensionMismatch):
+            FitConfig(rel_tol=float("nan"))  # would run out the iteration budget

@@ -10,6 +10,7 @@ from wdmix import (
     outlier_score_report,
 )
 from wdmix.errors import (
+    DimensionMismatch,
     EmptyCluster,
     LengthMismatch,
     MissingFlags,
@@ -82,6 +83,15 @@ class TestDaviesBouldin:
             )
         with pytest.raises(LengthMismatch):
             davies_bouldin(np.zeros((3, 1)), np.zeros(2, int), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("stray", [7, 2, -1])
+    def test_labels_outside_center_range_rejected(self, stray):
+        # Such a point used to be dropped silently, leaving the index at 0.1.
+        points = np.array([[-1.0], [1.0], [19.0], [21.0], [50.0]])
+        centers = np.array([[0.0], [20.0]])
+        assert davies_bouldin(points[:4], [0, 0, 1, 1], centers) == pytest.approx(0.1)
+        with pytest.raises(DimensionMismatch):
+            davies_bouldin(points, [0, 0, 1, 1, stray], centers)
 
 
 class TestMicroF1:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wdmix import (
     CovarianceShape,
@@ -99,6 +100,15 @@ class TestModelFromLabels:
             model_from_labels(points, [0, 2])  # label 1 missing
 
 
+def _oracle_weights(points: np.ndarray, q: int, bandwidth: float) -> np.ndarray:
+    """Kernel weights from explicit (x_i - x_j)^2 sums and a full sort of each row."""
+    weights = np.empty(points.shape[0])
+    for i, x in enumerate(points):
+        d2 = np.sort(np.sum((np.delete(points, i, axis=0) - x) ** 2, axis=1))[:q]
+        weights[i] = max(np.sum(np.exp(-d2 / bandwidth)), 1e-12)
+    return weights
+
+
 class TestKnnKernelWeights:
     def test_two_points_hand_value(self):
         # Each point's only neighbour sits 10 away: w = exp(-100/100).
@@ -126,15 +136,14 @@ class TestKnnKernelWeights:
         w = knn_kernel_weights(data, q=1, bandwidth=100.0)
         assert w[0] == pytest.approx(1e-12)  # exp(-1e10) underflows to the floor
 
-    def test_brute_force_matches_tree(self, monkeypatch):
-        import wdmix.initialization as init
-
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_matches_direct_difference_oracle(self, d):
         gen = np.random.default_rng(4)
-        points = gen.normal(size=(300, 2)) * 40.0
-        dense = knn_kernel_weights(points, q=7, bandwidth=100.0)
-        monkeypatch.setattr(init, "_BRUTE_FORCE_LIMIT", 10)
-        via_tree = knn_kernel_weights(points, q=7, bandwidth=100.0)
-        assert np.allclose(dense, via_tree, rtol=1e-10)
+        points = gen.normal(size=(300, d)) * 40.0
+        points[250:260] = points[0]  # a stack of eleven coincident points
+        points[260:262] = points[1]
+        got = knn_kernel_weights(points, q=7, bandwidth=100.0)
+        np.testing.assert_allclose(got, _oracle_weights(points, 7, 100.0), rtol=1e-12, atol=0.0)
 
     def test_parameter_validation(self):
         data = validate_dataset([[0.0, 0.0], [1.0, 1.0]])
@@ -144,6 +153,34 @@ class TestKnnKernelWeights:
             knn_kernel_weights(data, q=0)
         with pytest.raises(NonPositiveWeight):
             knn_kernel_weights(data, q=1, bandwidth=0.0)
+        with pytest.raises(NonPositiveWeight):
+            knn_kernel_weights(data, q=1, bandwidth=float("nan"))
+
+
+def _rotation(d: int, seed: int) -> np.ndarray:
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n=st.integers(30, 300),
+    seed=st.integers(0, 2**16),
+    shift=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+)
+@example(d=2, n=300, seed=0, shift=[1e6, 1e6, 1e6])
+def test_weights_invariant_under_rigid_motion(d, n, seed, shift):
+    points = np.random.default_rng(seed).normal(size=(n, d)) * 20.0
+    moved = points @ _rotation(d, seed + 1).T + np.array(shift[:d])
+    np.testing.assert_allclose(
+        knn_kernel_weights(moved, q=10, bandwidth=100.0),
+        knn_kernel_weights(points, q=10, bandwidth=100.0),
+        rtol=1e-9,
+        atol=0.0,
+    )
 
 
 class TestGammaPriors:

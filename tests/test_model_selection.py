@@ -163,6 +163,8 @@ class TestMmlConfig:
         with pytest.raises(DimensionMismatch):
             MmlConfig(k_high=3, epsilon=-1.0)
         with pytest.raises(DimensionMismatch):
+            MmlConfig(k_high=3, epsilon=float("nan"))  # would run out the sweep budget
+        with pytest.raises(DimensionMismatch):
             MmlConfig(k_high=3, assignment_rates="other")
 
     def test_mode_coercion(self):
