@@ -14,7 +14,6 @@ from .av_fusion import (
     AvSegmentResult,
     ComponentTag,
     analyze_segment,
-    analyze_segments,
     classify_components,
     correct_detection,
     cross_modal_weights,
@@ -37,7 +36,6 @@ from .densities import (
     log_gamma_pdf,
     log_gaussian_scaled,
     log_pearson7,
-    log_sum_exp,
     mahalanobis_sq,
 )
 from .datagen import contaminate_uniform, generate_sim
@@ -70,7 +68,6 @@ __all__ = [
     "WeightMode",
     "WeightState",
     "analyze_segment",
-    "analyze_segments",
     "av_fusion",
     "classify_components",
     "contaminate_uniform",
@@ -90,7 +87,6 @@ __all__ = [
     "log_gamma_pdf",
     "log_gaussian_scaled",
     "log_pearson7",
-    "log_sum_exp",
     "mahalanobis_sq",
     "message_length",
     "micro_f1",

@@ -10,13 +10,13 @@ the ground-truth location lands in a component tagged as audio-visual.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .core import Dataset, MixtureModel, Responsibilities, validate_dataset
+from .core import Dataset, MixtureModel, Responsibilities
 from .em_fixed import e_step
 from .errors import LengthMismatch, NonPositiveWeight, SingleModality
 from .initialization import kernel_sums, pipeline_gamma_priors
@@ -24,6 +24,7 @@ from .model_selection import MmlConfig, select_model
 
 AUDIO = "a"
 VISUAL = "v"
+_K_HIGH = 5  # components each segment's selection starts from (at most n)
 
 
 class ComponentTag(str, Enum):
@@ -50,13 +51,7 @@ def cross_modal_weights(dataset: Dataset, bandwidth: float = 100.0) -> np.ndarra
     pts = dataset.points
     weights = np.empty(dataset.n)
     for mask, other in ((audio, visual), (visual, audio)):
-        d2 = (
-            np.sum(pts[mask] ** 2, axis=1)[:, None]
-            - 2.0 * pts[mask] @ pts[other].T
-            + np.sum(pts[other] ** 2, axis=1)[None, :]
-        )
-        np.maximum(d2, 0.0, out=d2)
-        weights[mask] = kernel_sums(d2, bandwidth)
+        weights[mask] = kernel_sums(cdist(pts[mask], pts[other], "sqeuclidean"), bandwidth)
     return weights
 
 
@@ -111,14 +106,8 @@ def correct_detection(x_g, model: MixtureModel, component_tags) -> bool:
 
 @dataclass(frozen=True)
 class AvConfig:
-    """Per-segment analysis settings."""
+    """Per-segment analysis settings: the seed of the selection's k-means restarts."""
 
-    bandwidth: float = 100.0
-    threshold: float = 0.05
-    k_high: int = 5
-    k_low: int = 1
-    epsilon: float = 1e-5
-    restarts: int = 10
     seed: int | None = None
 
 
@@ -136,19 +125,11 @@ class AvSegmentResult:
 def analyze_segment(segment: Dataset, config: AvConfig | None = None) -> AvSegmentResult:
     """Cluster one segment with cross-modal weights and tag the components."""
     cfg = config or AvConfig()
-    weights = cross_modal_weights(segment, bandwidth=cfg.bandwidth)
+    weights = cross_modal_weights(segment)
     alpha, beta = pipeline_gamma_priors(weights)
-    mml = MmlConfig(k_high=min(cfg.k_high, segment.n), k_low=cfg.k_low, epsilon=cfg.epsilon)
-    report = select_model(
-        segment,
-        mml,
-        weights=(alpha, beta),
-        seed=cfg.seed,
-        restarts=cfg.restarts,
-    )
-    tags, relevance = classify_components(
-        report.final_responsibilities, segment.modality, threshold=cfg.threshold
-    )
+    mml = MmlConfig(k_high=min(_K_HIGH, segment.n))
+    report = select_model(segment, mml, weights=(alpha, beta), seed=cfg.seed)
+    tags, relevance = classify_components(report.final_responsibilities, segment.modality)
     return AvSegmentResult(
         model=report.final_model,
         responsibilities=report.final_responsibilities,
@@ -156,33 +137,3 @@ def analyze_segment(segment: Dataset, config: AvConfig | None = None) -> AvSegme
         relevance=relevance,
         weights=weights,
     )
-
-
-def analyze_segments(segments, config: AvConfig | None = None) -> list:
-    """Analyse segments independently, one after another."""
-    return [analyze_segment(seg, config) for seg in segments]
-
-
-def load_segment_csv(path) -> Dataset:
-    """Read a segment file with columns x, y, modality ('a' or 'v')."""
-    points, tags = [], []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"x", "y", "modality"} <= set(reader.fieldnames):
-            raise LengthMismatch("segment CSV needs columns x, y, modality")
-        for row in reader:
-            points.append((float(row["x"]), float(row["y"])))
-            tags.append(row["modality"].strip())
-    return validate_dataset(np.asarray(points), modality=np.asarray(tags))
-
-
-def load_ground_truth_csv(path) -> dict:
-    """Read ground-truth locations keyed by segment id."""
-    truth = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"segment_id", "x_g", "y_g"} <= set(reader.fieldnames):
-            raise LengthMismatch("ground-truth CSV needs columns segment_id, x_g, y_g")
-        for row in reader:
-            truth[row["segment_id"]] = np.array([float(row["x_g"]), float(row["y_g"])])
-    return truth

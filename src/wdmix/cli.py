@@ -31,7 +31,7 @@ from .core import (
     validate_dataset,
 )
 from .datagen import PROFILE_NAMES, contaminate_uniform, generate_sim
-from .errors import DimensionTooHigh, WdmixError
+from .errors import DimensionTooHigh, MalformedModel, NonRectangular, WdmixError
 from .evaluation import davies_bouldin, micro_f1, outlier_score_report
 from .initialization import kmeans, knn_kernel_weights, model_from_labels, pipeline_gamma_priors
 from .model_selection import MmlConfig, select_model
@@ -79,18 +79,21 @@ def read_dataset_csv(path) -> Dataset:
         modality_idx = names.index("modality") if "modality" in names else None
         outlier_idx = names.index("outlier") if "outlier" in names else None
         points, labels, modality, flags = [], [], [], []
-        for line in handle:
+        for lineno, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            points.append([float(parts[i]) for i in feature_idx])
-            if label_idx is not None:
-                labels.append(int(parts[label_idx]))
-            if modality_idx is not None:
-                modality.append(parts[modality_idx])
-            if outlier_idx is not None:
-                flags.append(bool(int(parts[outlier_idx])))
+            try:
+                points.append([float(parts[i]) for i in feature_idx])
+                if label_idx is not None:
+                    labels.append(int(parts[label_idx]))
+                if modality_idx is not None:
+                    modality.append(parts[modality_idx])
+                if outlier_idx is not None:
+                    flags.append(bool(int(parts[outlier_idx])))
+            except (IndexError, ValueError):
+                raise NonRectangular(f"{path} line {lineno}: too few fields or a non-numeric value") from None
     return validate_dataset(
         np.asarray(points),
         labels=np.asarray(labels) if labels else None,
@@ -131,7 +134,15 @@ def read_assignments_csv(path) -> np.ndarray:
         header = handle.readline().strip()
         if header != "index,cluster":
             raise WdmixError(f"{path}: not an assignments file")
-        return np.array([int(line.split(",")[1]) for line in handle if line.strip()], dtype=np.int64)
+        clusters = []
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            try:
+                clusters.append(int(line.split(",")[1]))
+            except (IndexError, ValueError):
+                raise NonRectangular(f"{path} line {lineno}: expected index,cluster") from None
+        return np.array(clusters, dtype=np.int64)
 
 
 def assignments_from_model(dataset: Dataset, payload: dict) -> np.ndarray:
@@ -147,7 +158,11 @@ def assignments_from_model(dataset: Dataset, payload: dict) -> np.ndarray:
         return em_fixed.e_step(dataset, model, np.ones(dataset.n)).hard_assignments()
     if algorithm not in ("fwd", "wd"):
         raise WdmixError(f"unknown algorithm {algorithm!r} in model file")
-    w = knn_kernel_weights(dataset, q=int(meta["q"]), bandwidth=float(meta["sigma"]))
+    try:
+        q, sigma = int(meta["q"]), float(meta["sigma"])
+    except (KeyError, TypeError, ValueError):
+        raise MalformedModel("model file's fit metadata needs numeric 'q' and 'sigma' fields") from None
+    w = knn_kernel_weights(dataset, q=q, bandwidth=sigma)
     if algorithm == "fwd":
         return em_fixed.e_step(dataset, model, w).hard_assignments()
     return em_weighted.e_step_assignments(dataset, model, pipeline_gamma_priors(w)).hard_assignments()

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     LengthMismatch,
+    MalformedModel,
     NaNInput,
     NonPositiveDefinite,
     NonPositiveWeight,
@@ -235,6 +236,11 @@ class GaussianComponent:
     def is_diagonal(self) -> bool:
         return self.covariance.ndim == 1
 
+    @property
+    def factor(self) -> np.ndarray:
+        """What ``densities.squared_distances`` takes: the variances if diagonal, else the Cholesky factor."""
+        return self.covariance if self.is_diagonal else self.chol
+
     def full_covariance(self) -> np.ndarray:
         """Covariance as a dense (d, d) matrix regardless of storage."""
         if self.is_diagonal:
@@ -311,16 +317,21 @@ class MixtureModel:
         version = payload.get("schema_version")
         if version != 1:
             raise DimensionMismatch(f"unsupported model schema version {version!r}")
-        shape = CovarianceShape(payload["covariance_shape"])
+        try:
+            shape = CovarianceShape(payload["covariance_shape"])
+            means = [np.asarray(entry["mean"], dtype=np.float64) for entry in payload["components"]]
+            covs = [np.asarray(entry["covariance"], dtype=np.float64) for entry in payload["components"]]
+            proportions = np.asarray(payload["proportions"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedModel(f"model file field missing or unreadable: {exc}") from None
         comps = []
-        for entry in payload["components"]:
-            cov = np.asarray(entry["covariance"], dtype=np.float64)
+        for mean, cov in zip(means, covs):
             if shape == CovarianceShape.DIAGONAL:
                 cov = np.diagonal(cov).copy()
-            comps.append(GaussianComponent(np.asarray(entry["mean"], dtype=np.float64), cov))
+            comps.append(GaussianComponent(mean, cov))
         return cls(
             components=tuple(comps),
-            proportions=np.asarray(payload["proportions"], dtype=np.float64),
+            proportions=proportions,
             covariance_shape=shape,
         )
 

@@ -15,34 +15,12 @@ from .core import GaussianComponent, MixtureModel
 from .errors import (
     DegenerateRow,
     DimensionMismatch,
-    EmptyInput,
     NonPositiveDefinite,
     NonPositiveShape,
     NonPositiveWeight,
 )
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def log_sum_exp(values, axis=None):
-    """log(sum(exp(values))) with the usual max shift.
-
-    Returns -inf when every input is -inf instead of raising on the
-    underflowing exponentials.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyInput("log_sum_exp of an empty array")
-    shift = np.max(arr, axis=axis, keepdims=True)
-    shift_safe = np.where(np.isfinite(shift), shift, 0.0)
-    with np.errstate(invalid="ignore"):
-        summed = np.sum(np.exp(arr - shift_safe), axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        out = np.log(summed) + shift_safe
-    out = np.where(np.isfinite(shift), out, shift)
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
 
 
 def mahalanobis_sq(x, component: GaussianComponent):
@@ -57,8 +35,7 @@ def mahalanobis_sq(x, component: GaussianComponent):
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != component.d:
         raise DimensionMismatch(f"points of dimension {pts.shape[-1]}, component has d={component.d}")
-    factor = component.covariance if component.is_diagonal else component.chol
-    out = squared_distances(pts, component.mean, factor)
+    out = squared_distances(pts, component.mean, component.factor)
     return float(out[0]) if single else out
 
 
@@ -190,8 +167,10 @@ def log_pearson7(x, component: GaussianComponent, alpha, beta):
 
 
 def mahalanobis_matrix(points: np.ndarray, components) -> np.ndarray:
-    """(n, K) squared Mahalanobis distances against each component."""
-    cols = [mahalanobis_sq(points, comp) for comp in components]
+    """(n, K) squared Mahalanobis distances of (n, d) float points against each component."""
+    if any(comp.d != points.shape[1] for comp in components):
+        raise DimensionMismatch(f"points of dimension {points.shape[1]} do not match the components")
+    cols = [squared_distances(points, comp.mean, comp.factor) for comp in components]
     return np.column_stack(cols) if cols else np.empty((points.shape[0], 0))
 
 
@@ -246,7 +225,7 @@ def expected_log_terms(eta, log_pi, log_dets, wbar, maha) -> float:
 
 
 def log_mixture_density(points: np.ndarray, model: MixtureModel, log_density_matrix: np.ndarray) -> np.ndarray:
-    """(n,) log of sum_k pi_k * exp(log_density_matrix[:, k])."""
+    """(n,) log of sum_k pi_k * exp(log_density_matrix[:, k]); DegenerateRow if that is -inf."""
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.proportions)
-    return log_sum_exp(log_density_matrix + log_pi[None, :], axis=1)
+    return normalize_log_responsibilities(log_density_matrix + log_pi[None, :])[1]

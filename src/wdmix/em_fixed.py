@@ -29,11 +29,10 @@ from .core import (
 from .densities import (
     FixedWeights,
     expected_log_terms,
-    log_mixture_density,
     mahalanobis_matrix,
     normalize_log_responsibilities,
 )
-from .errors import EmptyComponent, LengthMismatch, NonPositiveWeight
+from .errors import LengthMismatch, NonPositiveWeight
 
 _EMPTY_REL = 1e-10
 
@@ -62,7 +61,6 @@ def weighted_m_step(
     weight_matrix: np.ndarray,
     covariance_shape: CovarianceShape,
     fallback_scale: float,
-    reseed_empty: bool = True,
 ) -> MixtureModel:
     """Closed-form parameter update shared by both weighting regimes.
 
@@ -80,9 +78,6 @@ def weighted_m_step(
     omega_sums = omega.sum(axis=0)
 
     empty = resp_sums < _EMPTY_REL * n
-    if np.any(empty) and not reseed_empty:
-        raise EmptyComponent(f"components {np.nonzero(empty)[0].tolist()} have no support")
-
     props = resp_sums / n
     props = props / props.sum()
 
@@ -108,19 +103,14 @@ def weighted_m_step(
     return MixtureModel(tuple(comps), props, shape)
 
 
-def log_densities(points: np.ndarray, model: MixtureModel, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """(n, K) squared Mahalanobis distances and log densities under a weighting regime."""
-    maha = mahalanobis_matrix(points, model.components)
-    return maha, kernel.log_density(maha, np.array([c.log_det for c in model.components]))
-
-
 def mixture_posterior(points: np.ndarray, model: MixtureModel, kernel) -> tuple:
     """One e-step under a weighting regime: (Mahalanobis matrix, responsibilities, log-likelihood).
 
     The row log-normalisers of the responsibilities are the points'
     log-likelihoods, so no separate likelihood pass is needed.
     """
-    maha, log_weighted = log_densities(points, model, kernel)
+    maha = mahalanobis_matrix(points, model.components)
+    log_weighted = kernel.log_density(maha, np.array([c.log_det for c in model.components]))
     with np.errstate(divide="ignore"):
         log_weighted += np.log(model.proportions)[None, :]
     eta, log_norm = normalize_log_responsibilities(log_weighted)
@@ -186,7 +176,6 @@ def m_step(
     responsibilities: Responsibilities,
     weights,
     covariance_shape=CovarianceShape.FULL,
-    reseed_empty: bool = True,
 ) -> MixtureModel:
     """Weighted parameter update for fixed weights."""
     data, kernel = _regime(data, weights)
@@ -196,15 +185,13 @@ def m_step(
         kernel.w,
         covariance_shape,
         data_scale(data.points),
-        reseed_empty=reseed_empty,
     )
 
 
 def loglik(data, model: MixtureModel, weights) -> float:
     """Observed-data log-likelihood sum_i log sum_k pi_k N(x_i; mu_k, Sigma_k / w_i)."""
     data, kernel = _regime(data, weights)
-    _, log_dens = log_densities(data.points, model, kernel)
-    return float(np.sum(log_mixture_density(data.points, model, log_dens)))
+    return mixture_posterior(data.points, model, kernel)[2]
 
 
 def expected_complete_loglik(

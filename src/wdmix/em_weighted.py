@@ -26,8 +26,8 @@ from .core import (
     WeightState,
     data_scale,
 )
-from .densities import GammaWeights, log_mixture_density, mahalanobis_matrix
-from .em_fixed import expected_terms, log_densities, mixture_posterior, run_em, weighted_m_step
+from .densities import GammaWeights, mahalanobis_matrix
+from .em_fixed import expected_terms, mixture_posterior, run_em, weighted_m_step
 from .errors import DimensionMismatch, LengthMismatch, NonPositiveShape
 
 
@@ -85,7 +85,6 @@ def m_step(
     responsibilities: Responsibilities,
     weight_state: WeightState,
     covariance_shape=CovarianceShape.FULL,
-    reseed_empty: bool = True,
 ) -> MixtureModel:
     """Parameter update using per-component posterior weight means."""
     data = as_dataset(data)
@@ -96,7 +95,6 @@ def m_step(
         weight_state.post_mean,
         covariance_shape,
         data_scale(data.points),
-        reseed_empty=reseed_empty,
     )
 
 
@@ -106,8 +104,7 @@ def marginal_loglik(data, model: MixtureModel, weight_state) -> float:
     sum_i log sum_k pi_k * PearsonVII(x_i; mu_k, Sigma_k, alpha_i, beta_i).
     """
     data, _, kernel = _regime(data, weight_state)
-    _, log_dens = log_densities(data.points, model, kernel)
-    return float(np.sum(log_mixture_density(data.points, model, log_dens)))
+    return mixture_posterior(data.points, model, kernel)[2]
 
 
 def expected_complete_loglik(

@@ -50,8 +50,8 @@ class DegenerateRow(WdmixError):
     """A responsibility row has no component with positive density."""
 
 
-class EmptyComponent(WdmixError):
-    """A mixture component received (numerically) no responsibility mass."""
+class MalformedModel(WdmixError):
+    """A saved model lacks a required field or holds an unreadable value."""
 
 
 class NoActiveComponents(WdmixError):

@@ -53,12 +53,11 @@ def davies_bouldin(points, labels, centers) -> float:
     return float(np.mean(worst))
 
 
-def micro_f1(predicted, true, matching: str = "optimal") -> float:
+def micro_f1(predicted, true) -> float:
     """Micro-averaged F1 after matching clusters to classes one-to-one.
 
-    ``matching='optimal'`` maximises total overlap by rectangular
-    assignment; ``'greedy'`` repeatedly takes the largest remaining overlap.
-    With single-label data and a full matching this equals plain accuracy.
+    The matching maximises total overlap by rectangular assignment.  With
+    single-label data and a full matching this equals plain accuracy.
     """
     pred = np.asarray(predicted).ravel()
     truth = np.asarray(true).ravel()
@@ -68,29 +67,12 @@ def micro_f1(predicted, true, matching: str = "optimal") -> float:
     classes, true_idx = np.unique(truth, return_inverse=True)
     contingency = np.zeros((clusters.size, classes.size), dtype=np.int64)
     np.add.at(contingency, (pred_idx, true_idx), 1)
-    if matching == "optimal":
-        rows, cols = linear_sum_assignment(contingency, maximize=True)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-    elif matching == "greedy":
-        pairs = []
-        used_rows, used_cols = set(), set()
-        order = np.argsort(contingency, axis=None)[::-1]
-        for flat in order:
-            r, c = divmod(int(flat), contingency.shape[1])
-            if r in used_rows or c in used_cols:
-                continue
-            pairs.append((r, c))
-            used_rows.add(r)
-            used_cols.add(c)
-            if len(pairs) == min(contingency.shape):
-                break
-    else:
-        raise WdmixError(f"unknown matching {matching!r}")
-    tp = sum(int(contingency[r, c]) for r, c in pairs)
+    rows, cols = linear_sum_assignment(contingency, maximize=True)
+    tp = int(contingency[rows, cols].sum())
     # Every point whose true class is not hit counts as one false negative;
     # points in matched clusters that miss additionally count as one false
     # positive, while unmatched clusters predict no class and add none.
-    fp = sum(int(contingency[r].sum()) - int(contingency[r, c]) for r, c in pairs)
+    fp = int(contingency[rows].sum()) - tp
     fn = int(contingency.sum()) - tp
     denom = 2 * tp + fp + fn
     return 2.0 * tp / denom if denom else 0.0

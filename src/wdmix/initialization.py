@@ -30,6 +30,8 @@ _WEIGHT_FLOOR = 1e-12
 # priors; the cap bounds any posterior mean by (PRIOR_WEIGHT_FLOOR^2 + d/2) /
 # PRIOR_WEIGHT_FLOOR, a few units at most.
 PRIOR_WEIGHT_FLOOR = 0.25
+_LLOYD_MAX_ITER = 100  # Lloyd's iterations per k-means restart
+_LLOYD_TOL = 1e-9  # largest center move that counts as converged
 
 
 def _as_points(data) -> np.ndarray:
@@ -57,13 +59,13 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     n, d = points.shape
     k = centers.shape[0]
     centers = centers.copy()
     sq_norms = np.sum(points**2, axis=1)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         dists = sq_norms[:, None] - 2.0 * points @ centers.T + np.sum(centers**2, axis=1)[None, :]
         labels = np.argmin(dists, axis=1)
         new_centers = np.empty_like(centers)
@@ -77,7 +79,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
                 new_centers[j] = points[members].mean(axis=0)
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        if shift <= tol:
+        if shift <= _LLOYD_TOL:
             break
     dists = sq_norms[:, None] - 2.0 * points @ centers.T + np.sum(centers**2, axis=1)[None, :]
     labels = np.argmin(dists, axis=1)
@@ -85,7 +87,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
     return labels, centers, inertia
 
 
-def kmeans(data, k: int, restarts: int = 10, seed=None, max_iter: int = 100, tol: float = 1e-9):
+def kmeans(data, k: int, restarts: int = 10, seed=None):
     """Best-of-``restarts`` Lloyd's algorithm with k-means++ seeding.
 
     Returns ``(labels, centers)`` of the restart with the lowest
@@ -99,7 +101,7 @@ def kmeans(data, k: int, restarts: int = 10, seed=None, max_iter: int = 100, tol
     best = None
     for _ in range(max(1, restarts)):
         centers0 = _plus_plus_seed(points, k, rng)
-        labels, centers, inertia = _lloyd(points, centers0, max_iter, tol)
+        labels, centers, inertia = _lloyd(points, centers0)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     return best[0], best[1]

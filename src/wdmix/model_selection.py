@@ -184,8 +184,7 @@ class _SelectionEngine:
         self.dirty: set = set()  # log_dens columns to recompute
         self.refreshed: set = set()  # components moved since the rates were last carried
         for k, comp in enumerate(initial_model.components):
-            factor = comp.covariance if comp.is_diagonal else comp.chol
-            self._store(k, comp.mean, comp.covariance, factor, comp.log_det)
+            self._store(k, comp.mean, comp.covariance, comp.factor, comp.log_det)
 
     # -- cache upkeep -----------------------------------------------------
 

@@ -381,6 +381,35 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["1.5", "1.5,abc"])
+    def test_malformed_dataset_row_exits_one(self, row, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2\n0.0,1.0\n" + row + "\n2.0,3.0\n")
+        code = run_cli("fit", "--input", bad, "--k", 1, "--out", tmp_path / "x")
+        assert code == 1
+        assert f"error: {bad} line 3:" in capsys.readouterr().err
+
+    def test_assignments_line_without_cluster_exits_one(self, fitted, small_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.assignments.csv"
+        bad.write_text("index,cluster\n0,1\n1\n")
+        code = run_cli(
+            "evaluate", "--model", f"{fitted}.model.json", "--assignments", bad,
+            "--truth", small_csv,
+        )
+        assert code == 1
+        assert f"error: {bad} line 3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["covariance_shape", "q"])
+    def test_model_missing_field_exits_one(self, key, fitted, small_csv, tmp_path, capsys):
+        payload = json.loads(Path(f"{fitted}.model.json").read_text())
+        del (payload["fit"] if key == "q" else payload)[key]  # "q" lives in the fit metadata
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(payload))
+        code = run_cli("evaluate", "--model", bad, "--truth", small_csv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
+
     def test_corrupt_model_json_exits_one(self, small_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

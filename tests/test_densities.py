@@ -10,7 +10,6 @@ from wdmix import (
     log_gamma_pdf,
     log_gaussian_scaled,
     log_pearson7,
-    log_sum_exp,
     mahalanobis_sq,
     model_from_parameters,
 )
@@ -24,7 +23,6 @@ from wdmix.densities import (
 from wdmix.errors import (
     DegenerateRow,
     DimensionMismatch,
-    EmptyInput,
     NonPositiveShape,
     NonPositiveWeight,
 )
@@ -35,27 +33,6 @@ def component_2d():
     return GaussianComponent(
         np.array([1.0, -2.0]), np.array([[3.0, 0.8], [0.8, 2.0]])
     )
-
-
-class TestLogSumExp:
-    def test_matches_scipy(self, rng):
-        values = rng.normal(size=(6, 4)) * 50.0
-        assert log_sum_exp(values) == pytest.approx(logsumexp(values), rel=1e-14)
-        assert np.allclose(log_sum_exp(values, axis=1), logsumexp(values, axis=1))
-        assert np.allclose(log_sum_exp(values, axis=0), logsumexp(values, axis=0))
-
-    def test_extreme_shift(self):
-        assert log_sum_exp([-1e6, -1e6]) == pytest.approx(-1e6 + np.log(2.0))
-        assert log_sum_exp([1e6, 1e6]) == pytest.approx(1e6 + np.log(2.0))
-
-    def test_all_neg_inf_rows(self):
-        out = log_sum_exp(np.array([[-np.inf, -np.inf], [0.0, 0.0]]), axis=1)
-        assert out[0] == -np.inf
-        assert out[1] == pytest.approx(np.log(2.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            log_sum_exp(np.array([]))
 
 
 class TestMahalanobis:

@@ -9,10 +9,11 @@ from wdmix import (
     Responsibilities,
     WeightState,
     em_fixed,
+    em_weighted,
     model_from_parameters,
     validate_dataset,
 )
-from wdmix.errors import EmptyComponent, LengthMismatch, NonPositiveWeight
+from wdmix.errors import DegenerateRow, DimensionMismatch, LengthMismatch, NonPositiveWeight
 
 from reference_gmm import ReferenceGMM
 
@@ -116,6 +117,24 @@ class TestObjectives:
         got = em_fixed.loglik(validate_dataset([[x]]), model, 1.0)
         assert got == pytest.approx(np.log(dens), rel=1e-12)
 
+    def test_loglik_rejects_point_of_zero_density(self):
+        # The squared distance overflows to inf, so every component density is 0.
+        model = model_from_parameters([np.zeros(1), np.ones(1)], [np.eye(1), np.eye(1)], [0.5, 0.5])
+        far = validate_dataset([[0.0], [1e200]])
+        priors = (np.full(2, 2.0), np.ones(2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegenerateRow):
+                em_fixed.loglik(far, model, 1.0)
+            with pytest.raises(DegenerateRow):
+                em_weighted.marginal_loglik(far, model, priors)
+
+    def test_model_of_other_dimension_rejected(self, blobs_2d):
+        model = model_from_parameters([np.zeros(3)], [np.eye(3)], [1.0])
+        with pytest.raises(DimensionMismatch):
+            em_fixed.loglik(blobs_2d, model, 1.0)
+        with pytest.raises(DimensionMismatch):
+            em_fixed.e_step(blobs_2d, model, 1.0)
+
     def test_expected_complete_loglik_manual(self):
         model = model_from_parameters(
             [np.array([0.0]), np.array([2.0])], [np.eye(1), 4.0 * np.eye(1)], [0.25, 0.75]
@@ -202,13 +221,3 @@ class TestEmptyComponents:
         # The dead component is reseeded on an actual data point.
         reseeded = updated.components[1].mean
         assert np.min(np.linalg.norm(data.points - reseeded, axis=1)) == pytest.approx(0.0)
-
-    def test_strict_mode_raises(self):
-        gen = np.random.default_rng(3)
-        data = validate_dataset(gen.normal(0.0, 1.0, size=(40, 2)))
-        model = model_from_parameters(
-            [np.zeros(2), np.full(2, 1e6)], [np.eye(2), np.eye(2)], [0.5, 0.5]
-        )
-        eta = em_fixed.e_step(data, model, 1.0)
-        with pytest.raises(EmptyComponent):
-            em_fixed.m_step(data, eta, 1.0, reseed_empty=False)

@@ -128,23 +128,6 @@ class TestMicroF1:
         # tp = 6, fp = 0, fn = 2 -> F1 = 12 / 14.
         assert micro_f1(pred, true) == pytest.approx(12.0 / 14.0)
 
-    def test_greedy_matches_optimal_on_diagonal_case(self):
-        true = np.array([0, 0, 1, 1, 2, 2])
-        pred = np.array([1, 1, 2, 2, 0, 0])
-        assert micro_f1(pred, true, matching="greedy") == 1.0
-
-    def test_greedy_can_trail_optimal(self):
-        # Constructed so the largest single overlap leads greedy astray.
-        true = np.array([0] * 5 + [1] * 4)
-        pred = np.array([0] * 3 + [1] * 2 + [0] * 4)
-        greedy = micro_f1(pred, true, matching="greedy")
-        optimal = micro_f1(pred, true)
-        assert optimal >= greedy
-
-    def test_unknown_matching_rejected(self):
-        with pytest.raises(WdmixError):
-            micro_f1(np.zeros(2, int), np.zeros(2, int), matching="best")
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             micro_f1(np.zeros(3, int), np.zeros(2, int))

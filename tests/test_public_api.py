@@ -1,11 +1,30 @@
-"""The package's public surface: exported names and the version string."""
+"""The package's public surface: exported names, the version string and imports."""
 
+import ast
 import sys
 from pathlib import Path
 
 import pytest
 
 import wdmix
+
+PUBLIC_NAMES = [
+    "AnnihilationEvent", "AvConfig", "AvSegmentResult", "ComponentTag", "CovarianceShape",
+    "Dataset", "FitConfig", "FitReport", "GaussianComponent", "MixtureModel", "MmlConfig",
+    "OutlierScoreReport", "Responsibilities", "WeightMode", "WeightState", "analyze_segment",
+    "av_fusion", "classify_components", "contaminate_uniform", "correct_detection",
+    "cross_modal_weights", "datagen", "davies_bouldin", "em_fixed", "em_weighted", "errors",
+    "evaluation", "gamma_priors_from_weights", "generate_sim", "initialization", "kmeans",
+    "knn_kernel_weights", "log_gamma_pdf", "log_gaussian_scaled", "log_pearson7",
+    "mahalanobis_sq", "message_length", "micro_f1", "model_from_labels", "model_from_parameters",
+    "outlier_score_report", "pipeline_gamma_priors", "select_model", "truncated_proportions",
+    "validate_dataset",
+]
+
+
+def test_public_names_are_pinned():
+    # Adding or removing an export is a deliberate edit of this list.
+    assert sorted(wdmix.__all__) == PUBLIC_NAMES
 
 
 def test_every_exported_name_resolves():
@@ -25,3 +44,21 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with open(pyproject, "rb") as handle:
         assert wdmix.__version__ == tomllib.load(handle)["project"]["version"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(wdmix.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_module_imports(path):
+    # __init__ is skipped: its imports are re-exports.
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
