@@ -25,6 +25,7 @@ from .core import (
     CovarianceShape,
     Dataset,
     FitConfig,
+    FitReport,
     MixtureModel,
     WeightMode,
     WeightState,
@@ -33,10 +34,18 @@ from .core import (
 from .datagen import PROFILE_NAMES, contaminate_uniform, generate_sim
 from .errors import DimensionTooHigh, MalformedModel, NonRectangular, WdmixError
 from .evaluation import davies_bouldin, micro_f1, outlier_score_report
-from .initialization import kmeans, knn_kernel_weights, model_from_labels, pipeline_gamma_priors
+from .initialization import default_weights, kmeans, model_from_labels
 from .model_selection import MmlConfig, select_model
 
 SCHEMA_VERSION = 1
+
+# Each fit algorithm's EM module and the regime of its default weights; gmm
+# runs fixed-weight EM on unit weights.
+_ALGORITHMS = {
+    "gmm": (em_fixed, None),
+    "fwd": (em_fixed, WeightMode.FIXED),
+    "wd": (em_weighted, WeightMode.RANDOM),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +93,8 @@ def read_dataset_csv(path) -> Dataset:
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) > len(names):
+                raise NonRectangular(f"{path} line {lineno}: {len(parts)} fields under {len(names)} header columns")
             try:
                 points.append([float(parts[i]) for i in feature_idx])
                 if label_idx is not None:
@@ -106,27 +117,38 @@ def read_dataset_csv(path) -> Dataset:
 # model / report / assignment artifacts
 
 
-def _model_payload(model: MixtureModel, fit_meta: dict) -> dict:
-    payload = model.to_dict()
-    payload["fit"] = fit_meta
-    return payload
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
 
-def _assignments_text(assignments) -> str:
+def write_assignments_csv(path, assignments) -> None:
     lines = ["index,cluster"]
     lines.extend(f"{i},{int(c)}" for i, c in enumerate(assignments))
-    return "\n".join(lines) + "\n"
-
-
-def write_assignments_csv(path, assignments) -> None:
     with open(path, "w", newline="") as handle:
-        handle.write(_assignments_text(assignments))
+        handle.write("\n".join(lines) + "\n")
+
+
+def _write_run(prefix, algorithm: str, report: FitReport, meta: dict, **summary) -> None:
+    """Model, report and assignment files of one fit or selection run.
+
+    ``summary`` holds the report fields after the shared ones; the weight
+    means follow whenever the run recorded marginal weight means.
+    """
+    _write_json(prefix + ".model.json", {**report.final_model.to_dict(), "fit": meta})
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "algorithm": algorithm,
+        "objective_trace": list(report.objective_trace),
+        "iterations": report.iterations,
+        "converged": report.converged,
+        **summary,
+    }
+    if report.final_weights.marginal_mean is not None:
+        payload["weight_means"] = [float(v) for v in report.final_weights.marginal_mean]
+    _write_json(prefix + ".report.json", payload)
+    write_assignments_csv(prefix + ".assignments.csv", report.final_responsibilities.hard_assignments())
 
 
 def read_assignments_csv(path) -> np.ndarray:
@@ -139,8 +161,8 @@ def read_assignments_csv(path) -> np.ndarray:
             if not line.strip():
                 continue
             try:
-                clusters.append(int(line.split(",")[1]))
-            except (IndexError, ValueError):
+                clusters.append(int(line.partition(",")[2]))
+            except ValueError:
                 raise NonRectangular(f"{path} line {lineno}: expected index,cluster") from None
         return np.array(clusters, dtype=np.int64)
 
@@ -153,19 +175,21 @@ def assignments_from_model(dataset: Dataset, payload: dict) -> np.ndarray:
     """
     model = MixtureModel.from_dict(payload)
     meta = payload.get("fit", {})
+    if not isinstance(meta, dict):
+        raise MalformedModel("model file's 'fit' field must be a JSON object")
     algorithm = meta.get("algorithm", "gmm")
-    if algorithm == "gmm":
-        return em_fixed.e_step(dataset, model, np.ones(dataset.n)).hard_assignments()
-    if algorithm not in ("fwd", "wd"):
+    if algorithm not in _ALGORITHMS:
         raise WdmixError(f"unknown algorithm {algorithm!r} in model file")
-    try:
-        q, sigma = int(meta["q"]), float(meta["sigma"])
-    except (KeyError, TypeError, ValueError):
-        raise MalformedModel("model file's fit metadata needs numeric 'q' and 'sigma' fields") from None
-    w = knn_kernel_weights(dataset, q=q, bandwidth=sigma)
-    if algorithm == "fwd":
-        return em_fixed.e_step(dataset, model, w).hard_assignments()
-    return em_weighted.e_step_assignments(dataset, model, pipeline_gamma_priors(w)).hard_assignments()
+    engine, mode = _ALGORITHMS[algorithm]
+    weights = np.ones(dataset.n)
+    if mode is not None:
+        try:
+            q, sigma = int(meta["q"]), float(meta["sigma"])
+        except (KeyError, TypeError, ValueError):
+            raise MalformedModel("model file's fit metadata needs numeric 'q' and 'sigma' fields") from None
+        weights = default_weights(dataset, mode, q, sigma)
+    e_step = engine.e_step_assignments if engine is em_weighted else engine.e_step
+    return e_step(dataset, model, weights).hard_assignments()
 
 
 # ---------------------------------------------------------------------------
@@ -254,35 +278,18 @@ def _fit_dataset(args, dataset: Dataset):
     labels, _ = kmeans(dataset, args.k, restarts=args.restarts, seed=args.seed)
     initial = model_from_labels(dataset, labels, shape)
     config = FitConfig(max_iter=args.max_iter, rel_tol=args.tol)
-    if args.algorithm == "gmm":
-        return em_fixed.fit(dataset, initial, np.ones(dataset.n), config)
-    w = knn_kernel_weights(dataset, q=args.q, bandwidth=args.sigma)
-    if args.algorithm == "fwd":
-        return em_fixed.fit(dataset, initial, w, config)
-    return em_weighted.fit(dataset, initial, pipeline_gamma_priors(w), config)
+    engine, mode = _ALGORITHMS[args.algorithm]
+    weights = np.ones(dataset.n) if mode is None else default_weights(dataset, mode, args.q, args.sigma)
+    return engine.fit(dataset, initial, weights, config)
 
 
 def _cmd_fit(args) -> int:
     dataset = read_dataset_csv(args.input)
     report = _fit_dataset(args, dataset)
     meta = {"algorithm": args.algorithm, "seed": args.seed}
-    if args.algorithm in ("fwd", "wd"):
-        meta["q"] = args.q
-        meta["sigma"] = args.sigma
-    _write_json(args.out + ".model.json", _model_payload(report.final_model, meta))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "algorithm": args.algorithm,
-        "objective_trace": list(report.objective_trace),
-        "iterations": report.iterations,
-        "converged": report.converged,
-    }
-    if args.algorithm == "wd":
-        payload["weight_means"] = [float(v) for v in report.final_weights.marginal_mean]
-    _write_json(args.out + ".report.json", payload)
-    write_assignments_csv(
-        args.out + ".assignments.csv", report.final_responsibilities.hard_assignments()
-    )
+    if _ALGORITHMS[args.algorithm][1] is not None:
+        meta.update(q=args.q, sigma=args.sigma)
+    _write_run(args.out, args.algorithm, report, meta)
     return 0
 
 
@@ -307,27 +314,19 @@ def _cmd_select(args) -> int:
     )
     algorithm = "wd" if config.weight_mode == WeightMode.RANDOM else "fwd"
     meta = {"algorithm": algorithm, "seed": args.seed, "q": args.q, "sigma": args.sigma}
-    _write_json(args.out + ".model.json", _model_payload(report.final_model, meta))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "algorithm": "select-" + algorithm,
-        "objective_trace": list(report.objective_trace),
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "selected_k": report.final_model.n_components,
-        "kplus_history": list(report.kplus_history),
-        "checkpoint_lengths": list(report.checkpoint_lengths),
-        "best_length": report.best_length,
-        "annihilation_log": [
+    _write_run(
+        args.out,
+        "select-" + algorithm,
+        report,
+        meta,
+        selected_k=report.final_model.n_components,
+        kplus_history=list(report.kplus_history),
+        checkpoint_lengths=list(report.checkpoint_lengths),
+        best_length=report.best_length,
+        annihilation_log=[
             [event.iteration, event.component, event.proportion]
             for event in report.annihilation_log
         ],
-    }
-    if report.final_weights is not None and report.final_weights.marginal_mean is not None:
-        payload["weight_means"] = [float(v) for v in report.final_weights.marginal_mean]
-    _write_json(args.out + ".report.json", payload)
-    write_assignments_csv(
-        args.out + ".assignments.csv", report.final_responsibilities.hard_assignments()
     )
     return 0
 
@@ -371,9 +370,8 @@ def _cmd_evaluate(args) -> int:
     if "outliers" in metrics:
         if weight_means is None:
             raise WdmixError("outlier scoring requires --report with weight means")
-        state = WeightState.random_prior(np.ones(dataset.n), np.ones(dataset.n))
-        state = state.with_posterior(np.ones(dataset.n), np.ones((dataset.n, 1)))
-        state = state.with_marginal(weight_means)
+        ones = np.ones(dataset.n)
+        state = WeightState(WeightMode.RANDOM, prior_alpha=ones, prior_beta=ones, marginal_mean=weight_means)
         score = outlier_score_report(state, dataset.outlier_flag)
         out["outliers"] = {
             "inlier_mean_weight": score.inlier_mean_weight,
@@ -410,34 +408,29 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
 
-    fit = sub.add_parser("fit", help="fit a mixture at a fixed component count")
-    fit.add_argument("--input", required=True)
-    fit.add_argument("--algorithm", choices=("gmm", "fwd", "wd"), default="wd")
+    run = argparse.ArgumentParser(add_help=False)  # flags shared by fit and select
+    run.add_argument("--input", required=True)
+    run.add_argument("--q", type=int, default=20, help="neighbours for kernel weights")
+    run.add_argument("--sigma", type=float, default=100.0, help="kernel bandwidth")
+    run.add_argument("--covariance", choices=("full", "diagonal"), default="full")
+    run.add_argument("--restarts", type=int, default=10)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", required=True, help="output path prefix")
+
+    fit = sub.add_parser("fit", parents=[run], help="fit a mixture at a fixed component count")
+    fit.add_argument("--algorithm", choices=tuple(_ALGORITHMS), default="wd")
     fit.add_argument("--k", type=int, required=True)
-    fit.add_argument("--q", type=int, default=20, help="neighbours for kernel weights")
-    fit.add_argument("--sigma", type=float, default=100.0, help="kernel bandwidth")
-    fit.add_argument("--covariance", choices=("full", "diagonal"), default="full")
     fit.add_argument("--max-iter", type=int, default=400)
     fit.add_argument("--tol", type=float, default=0.01)
-    fit.add_argument("--restarts", type=int, default=10)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--out", required=True, help="output path prefix")
     fit.set_defaults(func=_cmd_fit)
 
-    sel = sub.add_parser("select", help="choose the component count by message length")
-    sel.add_argument("--input", required=True)
+    sel = sub.add_parser("select", parents=[run], help="choose the component count by message length")
     sel.add_argument("--k-high", type=int, required=True)
     sel.add_argument("--k-low", type=int, default=1)
     sel.add_argument("--epsilon", type=float, default=1e-5)
     sel.add_argument("--max-sweeps", type=int, default=2000)
     sel.add_argument("--weight-mode", choices=("random", "fixed"), default="random")
     sel.add_argument("--assignment-rates", choices=("carried", "prior"), default="carried")
-    sel.add_argument("--q", type=int, default=20)
-    sel.add_argument("--sigma", type=float, default=100.0)
-    sel.add_argument("--covariance", choices=("full", "diagonal"), default="full")
-    sel.add_argument("--restarts", type=int, default=10)
-    sel.add_argument("--seed", type=int, default=0)
-    sel.add_argument("--out", required=True, help="output path prefix")
     sel.set_defaults(func=_cmd_select)
 
     ev = sub.add_parser("evaluate", help="compute metrics from written artifacts")

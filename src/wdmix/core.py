@@ -8,7 +8,7 @@ defensive copies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -269,7 +269,7 @@ class MixtureModel:
             raise LengthMismatch(f"{len(comps)} components but {pis.shape} proportions")
         if np.any(pis < 0.0):
             raise NonPositiveWeight("mixing proportions must be non-negative")
-        if abs(float(np.sum(pis)) - 1.0) > _PROPORTION_ATOL:
+        if not abs(float(np.sum(pis)) - 1.0) <= _PROPORTION_ATOL:  # NaN fails too
             raise NonPositiveWeight(f"proportions sum to {float(np.sum(pis))!r}, not 1")
         d = comps[0].d
         want_diag = self.covariance_shape == CovarianceShape.DIAGONAL
@@ -314,6 +314,8 @@ class MixtureModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MixtureModel":
+        if not isinstance(payload, dict):
+            raise MalformedModel("a model file must hold a JSON object")
         version = payload.get("schema_version")
         if version != 1:
             raise DimensionMismatch(f"unsupported model schema version {version!r}")
@@ -324,26 +326,20 @@ class MixtureModel:
             proportions = np.asarray(payload["proportions"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedModel(f"model file field missing or unreadable: {exc}") from None
-        comps = []
-        for mean, cov in zip(means, covs):
-            if shape == CovarianceShape.DIAGONAL:
-                cov = np.diagonal(cov).copy()
-            comps.append(GaussianComponent(mean, cov))
-        return cls(
-            components=tuple(comps),
-            proportions=proportions,
-            covariance_shape=shape,
-        )
+        if shape == CovarianceShape.DIAGONAL:
+            covs = [np.diagonal(cov).copy() for cov in covs]
+        return model_from_parameters(means, covs, proportions, shape)
 
 
 def model_from_parameters(
     means: Sequence, covariances: Sequence, proportions, covariance_shape=CovarianceShape.FULL
 ) -> MixtureModel:
-    """Convenience constructor from plain arrays."""
-    comps = tuple(
-        GaussianComponent(np.asarray(m, dtype=np.float64), np.asarray(c, dtype=np.float64))
-        for m, c in zip(means, covariances)
-    )
+    """Constructor from plain arrays; NaNInput for a non-finite mean or covariance entry."""
+    means = [np.asarray(m, dtype=np.float64) for m in means]
+    covs = [np.asarray(c, dtype=np.float64) for c in covariances]
+    if not all(np.all(np.isfinite(a)) for a in means + covs):
+        raise NaNInput("component means and covariances must be finite")
+    comps = tuple(GaussianComponent(m, c) for m, c in zip(means, covs))
     return MixtureModel(comps, np.asarray(proportions, dtype=np.float64), covariance_shape)
 
 
@@ -353,9 +349,9 @@ class WeightState:
 
     In FIXED mode only ``fixed_w`` is set.  In RANDOM mode ``prior_alpha``
     and ``prior_beta`` hold the gamma priors (mean alpha/beta); after a
-    weight-posterior step ``post_a`` (n,), ``post_b`` (n, K) and
-    ``post_mean = post_a[:, None] / post_b`` are populated, and
-    ``marginal_mean`` holds the responsibility-weighted posterior means.
+    weight-posterior step ``post_a`` (n,) and ``post_b`` (n, K) are
+    populated, and ``marginal_mean`` holds the responsibility-weighted
+    posterior means.
     """
 
     mode: WeightMode
@@ -364,7 +360,6 @@ class WeightState:
     prior_beta: np.ndarray | None = None
     post_a: np.ndarray | None = None
     post_b: np.ndarray | None = None
-    post_mean: np.ndarray | None = None
     marginal_mean: np.ndarray | None = None
 
     def __post_init__(self):
@@ -392,16 +387,12 @@ class WeightState:
         if self.post_a is not None:
             a = _frozen_array(self.post_a)
             b = _frozen_array(self.post_b)
-            mean = _frozen_array(self.post_mean)
-            if a.shape != (n,) or b.ndim != 2 or b.shape[0] != n or mean.shape != b.shape:
+            if a.shape != (n,) or b.ndim != 2 or b.shape[0] != n:
                 raise DimensionMismatch("posterior arrays have inconsistent shapes")
             if np.any(a <= 0.0) or np.any(b <= 0.0):
                 raise NonPositiveShape("posterior gamma parameters must be positive")
-            if not np.allclose(mean, a[:, None] / b, rtol=1e-12, atol=0.0):
-                raise NonPositiveShape("posterior means do not equal a/b")
             object.__setattr__(self, "post_a", a)
             object.__setattr__(self, "post_b", b)
-            object.__setattr__(self, "post_mean", mean)
         if self.marginal_mean is not None:
             marg = _frozen_array(self.marginal_mean)
             if marg.shape != (n,):
@@ -421,27 +412,22 @@ class WeightState:
         )
 
     def with_posterior(self, post_a, post_b) -> "WeightState":
-        a = np.asarray(post_a, dtype=np.float64)
-        b = np.asarray(post_b, dtype=np.float64)
-        return WeightState(
-            mode=WeightMode.RANDOM,
-            prior_alpha=self.prior_alpha,
-            prior_beta=self.prior_beta,
-            post_a=a,
-            post_b=b,
-            post_mean=a[:, None] / b,
-        )
+        return replace(self, post_a=post_a, post_b=post_b, marginal_mean=None)
 
     def with_marginal(self, marginal_mean) -> "WeightState":
-        return WeightState(
-            mode=WeightMode.RANDOM,
-            prior_alpha=self.prior_alpha,
-            prior_beta=self.prior_beta,
-            post_a=self.post_a,
-            post_b=self.post_b,
-            post_mean=self.post_mean,
-            marginal_mean=np.asarray(marginal_mean, dtype=np.float64),
-        )
+        return replace(self, marginal_mean=marginal_mean)
+
+    @property
+    def post_mean(self) -> np.ndarray | None:
+        """(n, K) posterior weight means a_i / b_ik, or None before a weight-posterior step."""
+        return None if self.post_a is None else self.post_a[:, None] / self.post_b
+
+    def averaged_means(self, eta) -> np.ndarray:
+        """sum_k eta_ik a_i / b_ik: the posterior weight means averaged over the assignments ``eta``."""
+        # Named, not a temporary: NumPy may compute the product in a large
+        # temporary's buffer and layout, which changes the row sums' order.
+        post_mean = self.post_mean
+        return np.sum(eta * post_mean, axis=1)
 
     @property
     def n(self) -> int:
@@ -519,7 +505,7 @@ class FitReport:
     objective_trace: tuple
     final_model: MixtureModel
     final_responsibilities: Responsibilities
-    final_weights: WeightState | None
+    final_weights: WeightState
     iterations: int
     converged: bool
     annihilation_log: tuple = ()

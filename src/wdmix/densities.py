@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaln
 
-from .core import GaussianComponent, MixtureModel
+from .core import GaussianComponent, MixtureModel, WeightMode, WeightState
 from .errors import (
     DegenerateRow,
     DimensionMismatch,
@@ -57,7 +57,8 @@ def squared_distances(points: np.ndarray, mean: np.ndarray, factor: np.ndarray) 
 # ---------------------------------------------------------------------------
 # Weighting regimes: every density in the package comes from one of these.
 # Per-point arrays are used as given and must broadcast against the squared
-# Mahalanobis distances, e.g. (n, 1) against an (n, K) matrix.
+# Mahalanobis distances, e.g. (n, 1) against an (n, K) matrix.  ``record``
+# turns a fit's final distances and responsibilities into its reported weights.
 
 
 class FixedWeights:
@@ -73,6 +74,9 @@ class FixedWeights:
     def weight_means(self, maha):
         return self.w
 
+    def record(self, maha, eta) -> WeightState:
+        return WeightState.fixed(self.w[:, 0])
+
 
 class GammaWeights:
     """Gamma weights w_i ~ Gamma(alpha_i, beta_i): Pearson VII density, M-step weight a_i / b_ik.
@@ -83,6 +87,7 @@ class GammaWeights:
     """
 
     def __init__(self, alpha, beta, d: int):
+        self.alpha = alpha
         self.half = 0.5 * d
         self.post_a = alpha + self.half
         self.log_ratio = gammaln(self.post_a) - gammaln(alpha)
@@ -94,7 +99,7 @@ class GammaWeights:
 
     def with_rates(self, beta) -> "GammaWeights":
         out = object.__new__(GammaWeights)
-        out.half, out.post_a, out.log_ratio = self.half, self.post_a, self.log_ratio
+        out.alpha, out.half, out.post_a, out.log_ratio = self.alpha, self.half, self.post_a, self.log_ratio
         out._set_rates(beta)
         return out
 
@@ -107,6 +112,20 @@ class GammaWeights:
 
     def weight_means(self, maha):
         return self.post_a / self.posterior_rates(maha)
+
+    def posterior(self, maha) -> WeightState:
+        """Priors plus the gamma posterior (a_i, b_ik) given (n, K) squared distances."""
+        return WeightState(
+            mode=WeightMode.RANDOM,
+            prior_alpha=self.alpha[:, 0],
+            prior_beta=self.beta[:, 0],
+            post_a=self.post_a[:, 0],
+            post_b=self.posterior_rates(maha),
+        )
+
+    def record(self, maha, eta) -> WeightState:
+        posterior = self.posterior(maha)
+        return posterior.with_marginal(posterior.averaged_means(eta))
 
 
 # ---------------------------------------------------------------------------

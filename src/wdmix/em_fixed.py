@@ -7,8 +7,6 @@ to one recovers the standard Gaussian mixture exactly, step for step.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .core import (
@@ -40,19 +38,14 @@ _EMPTY_REL = 1e-10
 def _regime(data, weights) -> tuple[Dataset, FixedWeights]:
     """Validated data and the fixed-weight kernel of a weight vector, scalar or FIXED state."""
     data = as_dataset(data)
-    if isinstance(weights, WeightState):
-        if weights.mode != WeightMode.FIXED:
-            raise NonPositiveWeight("fixed-weight EM requires a FIXED weight state")
-        w = weights.fixed_w
-    else:
+    if not isinstance(weights, WeightState):
         w = np.asarray(weights, dtype=np.float64)
-        if w.ndim == 0:
-            w = np.full(data.n, float(w))
-    if w.shape != (data.n,):
-        raise LengthMismatch(f"{w.shape[0]} weights for {data.n} points")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise NonPositiveWeight("weights must be positive and finite")
-    return data, FixedWeights(w[:, None], data.d)
+        weights = WeightState.fixed(np.full(data.n, float(w)) if w.ndim == 0 else w)
+    if weights.mode != WeightMode.FIXED:
+        raise NonPositiveWeight("fixed-weight EM requires a FIXED weight state")
+    if weights.n != data.n:
+        raise LengthMismatch(f"{weights.n} weights for {data.n} points")
+    return data, FixedWeights(weights.fixed_w[:, None], data.d)
 
 
 def weighted_m_step(
@@ -129,13 +122,13 @@ def expected_terms(points: np.ndarray, model: MixtureModel, eta: np.ndarray, wba
     return expected_log_terms(eta[:, active], log_pi, log_dets, wbar, maha)
 
 
-def run_em(points: np.ndarray, initial_model: MixtureModel, kernel, config: FitConfig) -> tuple:
+def run_em(points: np.ndarray, initial_model: MixtureModel, kernel, config: FitConfig) -> FitReport:
     """The EM loop of both weighting regimes.
 
     Each iteration computes one Mahalanobis matrix, one log-density matrix
     and one row normalisation (:func:`mixture_posterior`).  The trace starts
-    with the initial model's log-likelihood.  Returns the report, without
-    weights, and the final model's Mahalanobis matrix.
+    with the initial model's log-likelihood.  The kernel records the
+    report's weights from the final model's distances and responsibilities.
     """
     fallback_scale = data_scale(points)
     model = initial_model
@@ -154,15 +147,15 @@ def run_em(points: np.ndarray, initial_model: MixtureModel, kernel, config: FitC
         if abs(ll - prev) < config.rel_tol * max(abs(prev), 1e-300):
             converged = True
             break
-    report = FitReport(
+    resp = Responsibilities(eta)
+    return FitReport(
         objective_trace=tuple(trace),
         final_model=model,
-        final_responsibilities=Responsibilities(eta),
-        final_weights=None,
+        final_responsibilities=resp,
+        final_weights=kernel.record(maha, resp.matrix),
         iterations=iterations,
         converged=converged,
     )
-    return report, maha
 
 
 def e_step(data, model: MixtureModel, weights) -> Responsibilities:
@@ -217,5 +210,4 @@ def fit(data, initial_model: MixtureModel, weights, config: FitConfig | None = N
     records one value per iteration.
     """
     data, kernel = _regime(data, weights)
-    report, _ = run_em(data.points, initial_model, kernel, config or FitConfig())
-    return replace(report, final_weights=WeightState.fixed(kernel.w[:, 0]))
+    return run_em(data.points, initial_model, kernel, config or FitConfig())

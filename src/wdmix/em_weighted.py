@@ -10,8 +10,6 @@ initialisation and never re-estimated.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .core import (
@@ -31,8 +29,8 @@ from .em_fixed import expected_terms, mixture_posterior, run_em, weighted_m_step
 from .errors import DimensionMismatch, LengthMismatch, NonPositiveShape
 
 
-def _regime(data, weight_state) -> tuple[Dataset, WeightState, GammaWeights]:
-    """Validated data, gamma priors and their kernel from a RANDOM state or an (alpha, beta) pair."""
+def _regime(data, weight_state) -> tuple[Dataset, GammaWeights]:
+    """Validated data and the kernel of gamma priors given as a RANDOM state or an (alpha, beta) pair."""
     data = as_dataset(data)
     if isinstance(weight_state, tuple):
         if len(weight_state) != 2:
@@ -42,17 +40,12 @@ def _regime(data, weight_state) -> tuple[Dataset, WeightState, GammaWeights]:
         raise NonPositiveShape("random-weight EM requires gamma weight priors")
     if weight_state.n != data.n:
         raise LengthMismatch(f"{weight_state.n} weight priors for {data.n} points")
-    kernel = GammaWeights(weight_state.prior_alpha[:, None], weight_state.prior_beta[:, None], data.d)
-    return data, weight_state, kernel
-
-
-def _posterior_state(state: WeightState, kernel: GammaWeights, maha: np.ndarray) -> WeightState:
-    return state.with_posterior(kernel.post_a[:, 0], kernel.posterior_rates(maha))
+    return data, GammaWeights(weight_state.prior_alpha[:, None], weight_state.prior_beta[:, None], data.d)
 
 
 def e_step_assignments(data, model: MixtureModel, weight_state) -> Responsibilities:
     """Responsibilities from prior-marginalised (Pearson VII) densities."""
-    data, _, kernel = _regime(data, weight_state)
+    data, kernel = _regime(data, weight_state)
     return Responsibilities(mixture_posterior(data.points, model, kernel)[1])
 
 
@@ -63,21 +56,21 @@ def e_step_weights(data, model: MixtureModel, weight_state) -> WeightState:
     posterior rates b_ik = beta_i + Mah^2(x_i, component k) / 2 and the
     posterior means a_i / b_ik are per component.
     """
-    data, state, kernel = _regime(data, weight_state)
-    return _posterior_state(state, kernel, mahalanobis_matrix(data.points, model.components))
+    data, kernel = _regime(data, weight_state)
+    return kernel.posterior(mahalanobis_matrix(data.points, model.components))
 
 
 def _require_posterior(weight_state: WeightState, responsibilities: Responsibilities) -> None:
-    if weight_state.post_mean is None:
+    if weight_state.post_b is None:
         raise DimensionMismatch("weight state has no posterior; run the weight step first")
-    if weight_state.post_mean.shape != responsibilities.matrix.shape:
+    if weight_state.post_b.shape != responsibilities.matrix.shape:
         raise DimensionMismatch("posterior means and responsibilities disagree in shape")
 
 
 def marginal_weight_means(weight_state: WeightState, responsibilities: Responsibilities) -> np.ndarray:
     """Assignment-averaged posterior weight means, one per point."""
     _require_posterior(weight_state, responsibilities)
-    return np.sum(responsibilities.matrix * weight_state.post_mean, axis=1)
+    return weight_state.averaged_means(responsibilities.matrix)
 
 
 def m_step(
@@ -103,7 +96,7 @@ def marginal_loglik(data, model: MixtureModel, weight_state) -> float:
 
     sum_i log sum_k pi_k * PearsonVII(x_i; mu_k, Sigma_k, alpha_i, beta_i).
     """
-    data, _, kernel = _regime(data, weight_state)
+    data, kernel = _regime(data, weight_state)
     return mixture_posterior(data.points, model, kernel)[2]
 
 
@@ -137,8 +130,5 @@ def fit(
     the parameters move.  The trace records the weight-marginalised
     log-likelihood, starting from the initial model.
     """
-    data, state, kernel = _regime(data, weight_state)
-    report, maha = run_em(data.points, initial_model, kernel, config or FitConfig())
-    posterior = _posterior_state(state, kernel, maha)
-    marginal = marginal_weight_means(posterior, report.final_responsibilities)
-    return replace(report, final_weights=posterior.with_marginal(marginal))
+    data, kernel = _regime(data, weight_state)
+    return run_em(data.points, initial_model, kernel, config or FitConfig())

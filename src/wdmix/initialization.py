@@ -12,9 +12,10 @@ from scipy.spatial import cKDTree
 
 from .core import (
     CovarianceShape,
-    Dataset,
     GaussianComponent,
     MixtureModel,
+    WeightMode,
+    as_dataset,
     data_scale,
     floored_covariance,
 )
@@ -32,12 +33,6 @@ _WEIGHT_FLOOR = 1e-12
 PRIOR_WEIGHT_FLOOR = 0.25
 _LLOYD_MAX_ITER = 100  # Lloyd's iterations per k-means restart
 _LLOYD_TOL = 1e-9  # largest center move that counts as converged
-
-
-def _as_points(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.points
-    return np.asarray(data, dtype=np.float64)
 
 
 def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,7 +88,7 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
     Returns ``(labels, centers)`` of the restart with the lowest
     within-cluster sum of squares.  Deterministic for a given seed.
     """
-    points = _as_points(data)
+    points = as_dataset(data).points
     n = points.shape[0]
     if k < 1 or k > n:
         raise KTooLarge(f"cannot place {k} clusters on {n} points")
@@ -115,7 +110,7 @@ def model_from_labels(data, labels, covariance_shape=CovarianceShape.FULL) -> Mi
     ridge applied.  Raises EmptyCluster when a label in the range has no
     members.
     """
-    points = _as_points(data)
+    points = as_dataset(data).points
     labels = np.asarray(labels, dtype=np.int64)
     n = points.shape[0]
     k = int(labels.max()) + 1
@@ -153,7 +148,7 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
     and isolated points close to zero.  Results are clamped to a tiny
     positive floor.
     """
-    points = _as_points(data)
+    points = as_dataset(data).points
     n = points.shape[0]
     if q < 1 or q >= n:
         raise QTooLarge(f"q={q} needs 1 <= q <= n-1 with n={n}")
@@ -180,3 +175,14 @@ def pipeline_gamma_priors(weights) -> tuple[np.ndarray, np.ndarray]:
     """
     w = np.asarray(weights, dtype=np.float64)
     return gamma_priors_from_weights(np.maximum(w, PRIOR_WEIGHT_FLOOR))
+
+
+def default_weights(data, mode: WeightMode, q: int, bandwidth: float):
+    """A weighting regime's default weights, from :func:`knn_kernel_weights` with q capped at n-1.
+
+    Fixed weights are the kernel weights themselves; random weights are
+    their :func:`pipeline_gamma_priors` (alpha, beta) pair.
+    """
+    data = as_dataset(data)
+    w = knn_kernel_weights(data, q=min(q, data.n - 1), bandwidth=bandwidth)
+    return pipeline_gamma_priors(w) if mode == WeightMode.RANDOM else w

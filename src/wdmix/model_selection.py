@@ -31,12 +31,7 @@ from .core import (
 )
 from .densities import GammaWeights, expected_log_terms, normalize_log_responsibilities, squared_distances
 from .errors import AllAnnihilated, DimensionMismatch, EmptyInput, NoActiveComponents
-from .initialization import (
-    kmeans,
-    knn_kernel_weights,
-    model_from_labels,
-    pipeline_gamma_priors,
-)
+from .initialization import default_weights, kmeans, model_from_labels
 
 @dataclass(frozen=True)
 class MmlConfig:
@@ -142,13 +137,11 @@ class _SelectionEngine:
         self.carried = False
         # Weights and initial models are checked before the k-means restarts run.
         if weights is None:
-            weights = knn_kernel_weights(X, q=min(q, self.n - 1), bandwidth=bandwidth)
-            if self.random:
-                weights = pipeline_gamma_priors(weights)
+            weights = default_weights(data, config.weight_mode, q, bandwidth)
         if self.random:
             if not isinstance(weights, WeightState):
                 weights = tuple(weights)
-            _, self.prior_state, self.kernel = em_weighted._regime(data, weights)
+            _, self.kernel = em_weighted._regime(data, weights)
             # Once carried, the assignment step uses the posterior shapes with
             # per-component rates: column j of ``ez_b`` holds beta0 + Mah^2_j / 2
             # as of the latest weight-posterior step.
@@ -156,8 +149,8 @@ class _SelectionEngine:
         else:
             _, self.kernel = em_fixed._regime(data, weights)
         if initial_model is None:
-            labels, _ = kmeans(X, config.k_high, restarts=restarts, seed=seed)
-            initial_model = model_from_labels(X, labels, self.shape)
+            labels, _ = kmeans(data, config.k_high, restarts=restarts, seed=seed)
+            initial_model = model_from_labels(data, labels, self.shape)
         elif initial_model.d != self.d:
             raise DimensionMismatch(f"initial model has d={initial_model.d}, data has d={self.d}")
         elif CovarianceShape(initial_model.covariance_shape) != self.shape:
@@ -289,12 +282,7 @@ class _SelectionEngine:
         comps = tuple(GaussianComponent(self.means[k], self.covs[k]) for k in act)
         model = MixtureModel(comps, pis, self.shape)
         resp = Responsibilities(eta)
-        if self.random:
-            ws = em_weighted._posterior_state(self.prior_state, self.kernel, self.maha[:, act])
-            ws = ws.with_marginal(em_weighted.marginal_weight_means(ws, resp))
-        else:
-            ws = WeightState.fixed(self.kernel.w[:, 0])
-        return model, resp, ws
+        return model, resp, self.kernel.record(self.maha[:, act], resp.matrix)
 
 
 def select_model(

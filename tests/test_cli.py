@@ -13,6 +13,7 @@ import pytest
 import wdmix
 from wdmix import MixtureModel, davies_bouldin, micro_f1, model_from_parameters
 from wdmix.cli import (
+    assignments_from_model,
     main,
     read_assignments_csv,
     read_dataset_csv,
@@ -346,6 +347,37 @@ class TestEvaluate:
         assert metrics["micro_f1"] == 1.0
 
 
+class TestSmallFile:
+    """Fewer points than the default q=20 neighbours: every command caps q at n-1."""
+
+    @pytest.fixture(scope="class")
+    def tiny_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tiny") / "tiny.csv"
+        assert run_cli("generate", "--profile", "easy", "--n", 15, "--seed", 1, "--out", path) == 0
+        return path
+
+    # Carried rates are not in the model file, so only prior-rate assignments
+    # can be recomputed from it.
+    @pytest.mark.parametrize("mode, rates", [("random", "prior"), ("fixed", "carried")])
+    def test_select_then_evaluate(self, tiny_csv, tmp_path, mode, rates):
+        prefix = tmp_path / "sel"
+        assert run_cli("select", "--input", tiny_csv, "--k-high", 3, "--weight-mode", mode,
+                       "--assignment-rates", rates, "--seed", 0, "--out", prefix) == 0
+        code = run_cli("evaluate", "--model", f"{prefix}.model.json", "--truth", tiny_csv,
+                       "--metrics", "f1", "--out", tmp_path / "m.json")
+        assert code == 0
+        payload = json.loads(Path(f"{prefix}.model.json").read_text())
+        recomputed = assignments_from_model(read_dataset_csv(tiny_csv), payload)
+        assert np.array_equal(recomputed, read_assignments_csv(f"{prefix}.assignments.csv"))
+
+    @pytest.mark.parametrize("algorithm", ["wd", "fwd"])
+    def test_fit(self, tiny_csv, tmp_path, algorithm):
+        code = run_cli("fit", "--input", tiny_csv, "--algorithm", algorithm, "--k", 2,
+                       "--seed", 0, "--out", tmp_path / "fit")
+        assert code == 0
+        assert (tmp_path / "fit.assignments.csv").exists()
+
+
 class TestErrorHandling:
     def test_missing_input_file_exits_one(self, capsys, tmp_path):
         code = run_cli(
@@ -381,7 +413,7 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["1.5", "1.5,abc"])
+    @pytest.mark.parametrize("row", ["1.5", "1.5,abc", "1.5,2.5,3.5"])
     def test_malformed_dataset_row_exits_one(self, row, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2\n0.0,1.0\n" + row + "\n2.0,3.0\n")
@@ -391,13 +423,30 @@ class TestErrorHandling:
 
     def test_assignments_line_without_cluster_exits_one(self, fitted, small_csv, tmp_path, capsys):
         bad = tmp_path / "bad.assignments.csv"
-        bad.write_text("index,cluster\n0,1\n1\n")
-        code = run_cli(
-            "evaluate", "--model", f"{fitted}.model.json", "--assignments", bad,
-            "--truth", small_csv,
-        )
+        for line in ("1", "1,0,7"):  # one field too few, one too many
+            bad.write_text(f"index,cluster\n0,1\n{line}\n")
+            code = run_cli(
+                "evaluate", "--model", f"{fitted}.model.json", "--assignments", bad,
+                "--truth", small_csv,
+            )
+            assert code == 1
+            assert f"error: {bad} line 3:" in capsys.readouterr().err
+
+    def test_model_file_not_an_object_exits_one(self, small_csv, tmp_path, capsys):
+        bad = tmp_path / "list.model.json"
+        bad.write_text("[1, 2]\n")
+        code = run_cli("evaluate", "--model", bad, "--truth", small_csv)
         assert code == 1
-        assert f"error: {bad} line 3:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_fit_metadata_not_an_object_exits_one(self, fitted, small_csv, tmp_path, capsys):
+        payload = json.loads(Path(f"{fitted}.model.json").read_text())
+        payload["fit"] = [1, 2]
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(payload))
+        code = run_cli("evaluate", "--model", bad, "--truth", small_csv)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("key", ["covariance_shape", "q"])
     def test_model_missing_field_exits_one(self, key, fitted, small_csv, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Validation, container, and serialization behaviour of the core types."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,7 @@ class TestGaussianComponent:
             GaussianComponent(np.zeros(3), np.eye(2))
 
 
+
 class TestMixtureModel:
     def test_free_params_per_component(self):
         full = model_from_parameters([np.zeros(2)], [np.eye(2)], [1.0])
@@ -186,6 +189,26 @@ class TestMixtureModel:
         assert clone.components[0].is_diagonal
         assert np.array_equal(clone.components[0].covariance, np.array([2.0, 5.0]))
 
+    @pytest.mark.parametrize(
+        "mean, cov", [([np.nan, 0.0], np.eye(2)), ([0.0, 0.0], np.diag([1.0, np.inf]))], ids=["mean", "covariance"]
+    )
+    def test_non_finite_parameters_rejected(self, mean, cov):
+        with pytest.raises(NaNInput):
+            model_from_parameters([mean], [cov], [1.0])
+        payload = {
+            "schema_version": 1,
+            "covariance_shape": "full",
+            "proportions": [1.0],
+            "components": [{"mean": list(mean), "covariance": cov.tolist()}],
+        }
+        # Python's json module writes and reads NaN and Infinity, so a model file can hold them.
+        with pytest.raises(NaNInput):
+            MixtureModel.from_dict(json.loads(json.dumps(payload)))
+
+    def test_nan_proportions_rejected(self):
+        with pytest.raises(NonPositiveWeight):
+            model_from_parameters([np.zeros(2)], [np.eye(2)], [np.nan])
+
     def test_from_dict_rejects_unknown_schema(self):
         payload = model_from_parameters([np.zeros(1)], [np.eye(1)], [1.0]).to_dict()
         payload["schema_version"] = 99
@@ -218,18 +241,6 @@ class TestWeightState:
         assert np.allclose(post.post_mean, [[2.0, 1.0], [2.0, 0.5]])
         marg = post.with_marginal([1.5, 1.75])
         assert marg.marginal_mean.tolist() == [1.5, 1.75]
-
-    def test_posterior_mean_consistency_enforced(self):
-        state = WeightState.random_prior([1.0], [1.0])
-        with pytest.raises(NonPositiveShape):
-            WeightState(
-                mode=WeightMode.RANDOM,
-                prior_alpha=state.prior_alpha,
-                prior_beta=state.prior_beta,
-                post_a=np.array([2.0]),
-                post_b=np.array([[4.0]]),
-                post_mean=np.array([[0.7]]),  # should be 0.5
-            )
 
 
 class TestResponsibilities:

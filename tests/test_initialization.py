@@ -17,6 +17,7 @@ from wdmix.initialization import PRIOR_WEIGHT_FLOOR
 from wdmix.errors import (
     EmptyCluster,
     KTooLarge,
+    NaNInput,
     NonPositiveWeight,
     QTooLarge,
 )
@@ -63,6 +64,21 @@ class TestKmeans:
         assert labels[0] == labels[1]
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda points: kmeans(points, 2, seed=0),
+        lambda points: model_from_labels(points, np.array([0, 0, 1, 1])),
+        lambda points: knn_kernel_weights(points, q=2),
+    ],
+    ids=["kmeans", "model_from_labels", "knn_kernel_weights"],
+)
+def test_non_finite_points_rejected(build):
+    points = np.array([[0.0, 0.0], [np.nan, 0.0], [10.0, 10.0], [10.1, 10.0]])
+    with pytest.raises(NaNInput):
+        build(points)
 
 
 class TestModelFromLabels:

@@ -62,3 +62,40 @@ def test_no_unused_module_imports(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_name_is_referenced():
+    # Module-level private functions, classes and constants, and private
+    # methods, that no module of the package references are dead code.
+    defined, referenced = set(), set()
+    for path in Path(wdmix.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((path.name, t.id) for t in targets if isinstance(t, ast.Name))
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    (path.name, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unused = sorted(
+        f"{module}:{name}"
+        for module, name in defined
+        if _private(name.rpartition(".")[2]) and name.rpartition(".")[2] not in referenced
+    )
+    assert unused == []
