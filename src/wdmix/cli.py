@@ -170,8 +170,12 @@ def read_assignments_csv(path) -> np.ndarray:
 def assignments_from_model(dataset: Dataset, payload: dict) -> np.ndarray:
     """Recompute hard assignments for a dataset from a saved model payload.
 
-    Uses the recorded fit metadata (algorithm, kernel settings) so the
-    result is byte-for-byte the assignment file the fit itself wrote.
+    Uses the recorded fit metadata (algorithm, kernel settings) to repeat
+    the assignment step with the prior weights, as ``fit`` and every
+    ``select`` run but one assign.  A random-weight ``select`` with carried
+    rates (its default) assigns with per-component posterior rates, which
+    the model file does not hold: such a model raises WdmixError, and its
+    run's assignment file must be passed instead.
     """
     model = MixtureModel.from_dict(payload)
     meta = payload.get("fit", {})
@@ -181,6 +185,11 @@ def assignments_from_model(dataset: Dataset, payload: dict) -> np.ndarray:
     if algorithm not in _ALGORITHMS:
         raise WdmixError(f"unknown algorithm {algorithm!r} in model file")
     engine, mode = _ALGORITHMS[algorithm]
+    if mode == WeightMode.RANDOM and meta.get("assignment_rates") == "carried":
+        raise WdmixError(
+            "the model was selected with carried gamma rates, which the model file "
+            "does not hold; pass the run's assignments with --assignments"
+        )
     weights = np.ones(dataset.n)
     if mode is not None:
         try:
@@ -313,7 +322,13 @@ def _cmd_select(args) -> int:
         bandwidth=args.sigma,
     )
     algorithm = "wd" if config.weight_mode == WeightMode.RANDOM else "fwd"
-    meta = {"algorithm": algorithm, "seed": args.seed, "q": args.q, "sigma": args.sigma}
+    meta = {
+        "algorithm": algorithm,
+        "seed": args.seed,
+        "q": args.q,
+        "sigma": args.sigma,
+        "assignment_rates": args.assignment_rates,
+    }
     _write_run(
         args.out,
         "select-" + algorithm,

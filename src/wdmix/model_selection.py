@@ -29,9 +29,16 @@ from .core import (
     factor_covariance,
     weighted_component,
 )
-from .densities import GammaWeights, expected_log_terms, normalize_log_responsibilities, squared_distances
-from .errors import AllAnnihilated, DimensionMismatch, EmptyInput, NoActiveComponents
+from .densities import GammaWeights, expected_log_terms, squared_distances
+from .errors import AllAnnihilated, DegenerateRow, DimensionMismatch, EmptyInput, NoActiveComponents
 from .initialization import default_weights, kmeans, model_from_labels
+
+# The shifted exponential cache of _SelectionEngine is rebuilt when a
+# recomputed column rises more than _SHIFT_MARGIN nats above its row's shift
+# (exp(600) is far from overflow), or when a row sum of the cache falls below
+# _SUM_FLOOR (far from the subnormal range).
+_SHIFT_MARGIN = 600.0
+_SUM_FLOOR = 1e-250
 
 @dataclass(frozen=True)
 class MmlConfig:
@@ -120,11 +127,14 @@ class _SelectionEngine:
     an update recomputes only the columns it changed.  Value objects are
     built only by :meth:`freeze`.
 
-    The densities come from the weighting-regime kernel, applied to (n, 1)
-    column slices, and the matrices handed to row and column sums keep the
-    same memory layout as a full (n, K+) recomputation would: NumPy's
-    pairwise sums depend on layout, and the results are meant to match bit
-    for bit.
+    Responsibilities come from a shifted exponential cache
+    ``E[:, j] = exp(log_dens[:, j] - shift)``, with one shift per row: the
+    row sums are ``S = E @ pis`` (inactive components have pi = 0 and a
+    zeroed column), so a component update needs the column sums
+    ``pis * ((1 / S) @ E)`` and its own column only, never the full (n, K+)
+    responsibility matrix.  The shift is reset to the row maxima of
+    log pi + log density when a recomputed column rises too far above it or
+    a row sum underflows.
     """
 
     def __init__(self, data, config, weights, covariance_shape, seed, initial_model, restarts, q, bandwidth):
@@ -173,6 +183,8 @@ class _SelectionEngine:
         # Column-major, so every per-component column is contiguous.
         self.maha = np.empty((self.n, self.k_total), order="F")
         self.log_dens = np.empty((self.n, self.k_total), order="F")
+        self.E = np.zeros((self.n, self.k_total), order="F")  # exp(log_dens - shift)
+        self.shift = None  # (n,) row shifts, set by the first _rebuild
         self.ez_b = np.empty((self.n, self.k_total), order="F")  # carried rates, random weights only
         self.dirty: set = set()  # log_dens columns to recompute
         self.refreshed: set = set()  # components moved since the rates were last carried
@@ -209,51 +221,78 @@ class _SelectionEngine:
             self.dirty.add(j)
         self.refreshed.clear()
 
-    def _responsibilities(self, act: np.ndarray) -> np.ndarray:
+    def _inverse_row_sums(self) -> np.ndarray:
+        """Refresh the changed columns of the cache and return 1 / S."""
+        rebuild = self.shift is None
         for j in self.dirty.intersection(self.active):
-            self.log_dens[:, j : j + 1] = self._column(j)
+            col = self._column(j)[:, 0]
+            self.log_dens[:, j] = col
+            if not rebuild:
+                e = self.E[:, j]
+                np.subtract(col, self.shift, out=e)
+                rebuild = not e.max() <= _SHIFT_MARGIN
+                if not rebuild:
+                    np.exp(e, out=e)
         self.dirty.clear()
-        log_weighted = np.take(self.log_dens, act, axis=1)
-        with np.errstate(divide="ignore"):
-            log_weighted += np.log(self.pis[act])[None, :]
-        eta, _ = normalize_log_responsibilities(log_weighted)
-        return eta
+        if not rebuild:
+            S = self.E @ self.pis
+            rebuild = not S.min() >= _SUM_FLOOR
+        if rebuild:
+            self._rebuild()
+            S = self.E @ self.pis
+        return 1.0 / S
+
+    def _rebuild(self) -> None:
+        """Reset each row's shift to its largest log pi + log density."""
+        act = self.active
+        shift = np.max(self.log_dens[:, act] + np.log(self.pis[act]), axis=1)
+        finite = np.isfinite(shift)
+        if not np.all(finite):
+            bad = int(np.argmin(finite))
+            raise DegenerateRow(f"point {bad} has no component with positive density")
+        self.shift = shift
+        self.E[:, act] = np.exp(self.log_dens[:, act] - shift[:, None])
 
     # -- one component-wise sweep ----------------------------------------
 
     def sweep(self, sweep_index: int, log: list) -> None:
         carry = self.random and self.cfg.assignment_rates == "carried"
         for k in list(self.active):
-            eta = self._responsibilities(np.array(self.active))
+            r = self._inverse_row_sums()
+            act = self.active
+            sums = self.pis[act] * (r @ self.E)[act]
+            eta_k = self.E[:, k] * (self.pis[k] * r)
             wbar = self.kernel.weight_means(self.maha[:, k : k + 1])[:, 0]
             if carry:
                 self._carry_rates()
-            sums = eta.sum(axis=0)
             new_pis = truncated_proportions(sums, self.m)
-            pos = self.active.index(k)
+            pos = act.index(k)
             old_pi = float(self.pis[k])
             self.pis[k] = new_pis[pos]
             if self.pis[k] > 0.0:
-                omega = eta[:, pos] * wbar
+                omega = eta_k * wbar
                 mu, cov = weighted_component(
                     self.X, omega, omega.sum(), sums[pos], self.shape, self.global_scale
                 )
                 chol, log_det = factor_covariance(cov)
                 self._store(k, mu, cov, cov if cov.ndim == 1 else chol, log_det)
+                self._renormalize()
             else:
                 log.append(AnnihilationEvent(sweep_index, k, old_pi))
-                self.active.remove(k)
-                if not self.active:
-                    raise AllAnnihilated("the final surviving component lost support")
-            self._renormalize()
+                self.drop(k)
+
+    def drop(self, k: int) -> None:
+        """Annihilate component k: its proportion and its cache column become zero."""
+        self.active.remove(k)
+        if not self.active:
+            raise AllAnnihilated("the final surviving component lost support")
+        self.pis[k] = 0.0
+        self.E[:, k] = 0.0
+        self._renormalize()
 
     def _renormalize(self) -> None:
-        act = np.array(self.active)
-        total = float(self.pis[act].sum())
-        mask = np.ones(self.k_total, dtype=bool)
-        mask[act] = False
-        self.pis[mask] = 0.0
-        self.pis[act] /= total
+        """Rescale the proportions to sum to one; inactive ones are already zero."""
+        self.pis /= self.pis.sum()
 
     # -- measurement ------------------------------------------------------
 
@@ -263,11 +302,15 @@ class _SelectionEngine:
         Same arithmetic as :func:`message_length` on the frozen state, from
         the cached distances.
         """
+        r = self._inverse_row_sums()
         act = np.array(self.active)
-        eta = self._responsibilities(act)
+        # C order, as message_length's copy of it, so q_value sums in the same order.
+        eta = np.multiply(self.E[:, act], self.pis[act], order="C")
+        eta *= r[:, None]
+        eta /= eta.sum(axis=1, keepdims=True)
         pis = self.pis[act] / self.pis[act].sum()
-        wbar = self.kernel.weight_means(self.maha[:, act])
-        maha = np.take(self.maha, act, axis=1)
+        maha = self.maha[:, act]
+        wbar = self.kernel.weight_means(maha)
         q_value = expected_log_terms(eta, np.log(pis), self.log_dets[act], wbar, maha)
         self._measured = (act, pis, eta)
         return _two_part_length(pis, q_value, self.m, self.n)
@@ -352,8 +395,7 @@ def select_model(
             act = np.array(engine.active)
             k_star = int(act[int(np.argmin(engine.pis[act]))])
             ann_log.append(AnnihilationEvent(sweeps, k_star, float(engine.pis[k_star])))
-            engine.active.remove(k_star)
-            engine._renormalize()
+            engine.drop(k_star)
         else:
             break
 

@@ -20,6 +20,7 @@ from wdmix.cli import (
     write_assignments_csv,
     write_dataset_csv,
 )
+from wdmix.errors import WdmixError
 
 
 def run_cli(*argv):
@@ -356,17 +357,27 @@ class TestSmallFile:
         assert run_cli("generate", "--profile", "easy", "--n", 15, "--seed", 1, "--out", path) == 0
         return path
 
-    # Carried rates are not in the model file, so only prior-rate assignments
-    # can be recomputed from it.
-    @pytest.mark.parametrize("mode, rates", [("random", "prior"), ("fixed", "carried")])
-    def test_select_then_evaluate(self, tiny_csv, tmp_path, mode, rates):
+    # Carried rates are not in the model file: evaluate recomputes prior-rate
+    # assignments only and asks for --assignments otherwise.
+    @pytest.mark.parametrize(
+        "mode, rates", [("random", "prior"), ("fixed", "carried"), ("random", "carried")]
+    )
+    def test_select_then_evaluate(self, tiny_csv, tmp_path, capsys, mode, rates):
         prefix = tmp_path / "sel"
         assert run_cli("select", "--input", tiny_csv, "--k-high", 3, "--weight-mode", mode,
                        "--assignment-rates", rates, "--seed", 0, "--out", prefix) == 0
+        capsys.readouterr()
         code = run_cli("evaluate", "--model", f"{prefix}.model.json", "--truth", tiny_csv,
                        "--metrics", "f1", "--out", tmp_path / "m.json")
-        assert code == 0
         payload = json.loads(Path(f"{prefix}.model.json").read_text())
+        assert payload["fit"]["assignment_rates"] == rates
+        if (mode, rates) == ("random", "carried"):
+            assert code == 1
+            assert "--assignments" in capsys.readouterr().err
+            with pytest.raises(WdmixError, match="--assignments"):
+                assignments_from_model(read_dataset_csv(tiny_csv), payload)
+            return
+        assert code == 0
         recomputed = assignments_from_model(read_dataset_csv(tiny_csv), payload)
         assert np.array_equal(recomputed, read_assignments_csv(f"{prefix}.assignments.csv"))
 

@@ -49,6 +49,20 @@ def _fit(regime, data, initial, config):
     return em_fixed.fit(data, initial, w, config), reference_fit_fixed(points, initial, w, config)
 
 
+def _assert_reports_identical(got, want):
+    assert got.objective_trace == want.objective_trace
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    _assert_models_identical(got.final_model, want.final_model)
+    assert np.array_equal(got.final_responsibilities.matrix, want.final_responsibilities.matrix)
+    gw, ww = got.final_weights, want.final_weights
+    assert gw.mode == ww.mode
+    for name in ("fixed_w", "prior_alpha", "prior_beta", "post_a", "post_b", "post_mean", "marginal_mean"):
+        a, b = getattr(gw, name), getattr(ww, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a, b)
+
+
 def _assert_models_identical(a: MixtureModel, b: MixtureModel):
     assert a.covariance_shape == b.covariance_shape
     assert np.array_equal(a.proportions, b.proportions)
@@ -70,19 +84,20 @@ class TestMatchesSeparatePassOracle:
         # rel_tol=0 makes the two-iteration run stop on its budget.
         config = FitConfig(max_iter=max_iter, rel_tol=1e-6 if max_iter != 2 else 0.0)
         got, want = _fit(regime, data, initial, config)
-        assert got.objective_trace == want.objective_trace
-        assert (got.iterations, got.converged) == (want.iterations, want.converged)
         if max_iter == 2:
             assert got.iterations == 2 and not got.converged
-        _assert_models_identical(got.final_model, want.final_model)
-        assert np.array_equal(got.final_responsibilities.matrix, want.final_responsibilities.matrix)
-        gw, ww = got.final_weights, want.final_weights
-        assert gw.mode == ww.mode
-        for name in ("fixed_w", "prior_alpha", "prior_beta", "post_a", "post_b", "post_mean", "marginal_mean"):
-            a, b = getattr(gw, name), getattr(ww, name)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.array_equal(a, b)
+        _assert_reports_identical(got, want)
+
+    @pytest.mark.parametrize("regime", ["knn", "gamma"])
+    def test_bit_identical_at_large_size(self, regime):
+        # n * K = 39,000: arrays past NumPy's 256 KiB temporary-elision
+        # threshold, where an expression temporary can change a sum's layout.
+        data = contaminate_uniform(generate_sim("easy", 6000, seed=5), 0.3, seed=6)
+        labels, _ = kmeans(data, 5, restarts=1, seed=3)
+        initial = model_from_labels(data, labels, "full")
+        got, want = _fit(regime, data, initial, FitConfig(max_iter=2, rel_tol=0.0))
+        assert got.iterations == 2 and not got.converged
+        _assert_reports_identical(got, want)
 
     @pytest.mark.parametrize("regime", ["knn", "gamma"])
     def test_trace_ends_are_the_loglikelihoods(self, regime):
