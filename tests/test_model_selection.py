@@ -345,19 +345,20 @@ class TestMatchesFullMatrixEngine:
     """The cached engine reproduces the full-matrix oracle.
 
     Every discrete outcome is equal: K+ history, checkpoints, annihilations,
-    sweep count and convergence.  Each float array agrees to 1e-12 of its
-    largest entry: the engine sums responsibilities from a shifted
-    exponential cache, in another order than the oracle's row normalisation,
-    and small entries (a far point's responsibility, a proportion just above
-    the support threshold) carry the difference with less relative
-    precision.  (The test names predate that change.)
+    sweep count and convergence.  Every float agrees with the oracle's to
+    a relative 1e-12, element by element: the engine sums responsibilities
+    from a shifted exponential cache, in another order than the oracle's
+    row normalisation.  The one exception is the proportion recorded at an
+    annihilation, which is checked to 2e-12: a proportion just above the
+    support threshold is a small difference of sums and carries the
+    reordering with less relative precision.  (The test names predate the
+    cache.)
     """
 
     @staticmethod
     def _assert_matches(got, want):
-        def close(a, b):
-            b = np.asarray(b, dtype=np.float64)
-            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12 * np.max(np.abs(b), initial=0.0))
+        def close(a, b, rtol=1e-12):
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0)
 
         assert got.kplus_history == want.kplus_history
         assert len(got.checkpoint_lengths) == len(want.checkpoint_lengths)
@@ -367,7 +368,11 @@ class TestMatchesFullMatrixEngine:
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
         close(got.objective_trace, want.objective_trace)
         close(got.checkpoint_lengths, want.checkpoint_lengths)
-        close([e.proportion for e in got.annihilation_log], [e.proportion for e in want.annihilation_log])
+        close(
+            [e.proportion for e in got.annihilation_log],
+            [e.proportion for e in want.annihilation_log],
+            rtol=2e-12,
+        )
         close(got.best_length, want.best_length)
         gm, wm = got.final_model, want.final_model
         assert gm.covariance_shape == wm.covariance_shape

@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of a base revision against a change.
+"""Paired benchmark runs of the last commit against the working tree.
 
-    python3 tools/bench_pairs.py --pr 9 --pairs 10 --seeds 41 59 \\
-        [--base HEAD] [--head REV] [--workloads W ...] [--seconds 25] \\
-        [--workdir DIR] [--out BENCH_9.json]
+    python3 tools/bench_pairs.py --pr 9 --pairs 10 --seeds 41 59
 
-Both sides are exported with ``git archive`` into fresh directories under
-``--workdir``: ``--base`` (default ``HEAD``) and ``--head`` (default: the
-working tree, tracked and untracked files that ``.gitignore`` does not
-exclude, staged into a temporary index so the real one is left alone).
-For each workload, pair i runs
+Both sides are exported with ``git archive`` into a temporary directory:
+the base is ``HEAD``, the head is the working tree (tracked and untracked
+files that ``.gitignore`` does not exclude, staged into a temporary index
+so the real one is left alone).  For every workload of the head's
+``BENCHMARK.json``, pair i runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds SECONDS
+    python3 perfbench/run.py --workload W --seed S --seconds 25
 
 once on each side, in ABBA order (base first on even pairs, head first on
 odd ones), with seed S cycling through ``--seeds``.  The last line of every
-run is read; the output file records, per workload and gated metric (the
-``end_to_end`` list of the head's ``BENCHMARK.json``), each side's median,
-quartiles and every run's value, and how many pairs the head won (ties win
-for neither side).  It also records the seeds, both sides' commit and
-``src/`` tree SHAs, ``nproc`` and the BLAS thread variables.
+run is read.  ``BENCH_<pr>.json``, written to the repository root, records
+per workload and gated metric (the ``end_to_end`` list of the head's
+``BENCHMARK.json``) each side's median, quartiles and every run's value,
+and how many pairs the head won (ties win for neither side).  It also
+records the seeds, both sides' commit and ``src/`` tree SHAs, ``nproc``
+and the BLAS thread variables.
 """
 
 from __future__ import annotations
@@ -35,19 +34,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SECONDS = 25
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pr", required=True, help="label of the change; names the default output file")
+    parser.add_argument("--pr", required=True, help="label of the change; names the output file")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--head", default=None, help="revision of the change (default: the working tree)")
-    parser.add_argument("--workloads", nargs="+", default=None, help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--workdir", default=None, help="where both sides are exported (default: a new temp dir)")
-    parser.add_argument("--out", default=None, help="default: BENCH_<pr>.json in the repository root")
     return parser.parse_args(argv)
 
 
@@ -72,19 +66,20 @@ def export(tree_ish: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def describe(rev: str | None) -> dict:
-    if rev is None:
-        tree = working_tree()
-        return {"rev": "working tree", "commit": git("rev-parse", "HEAD"), "dirty": True,
-                "src_tree": git("rev-parse", f"{tree}:src"), "tree_ish": tree}
-    commit = git("rev-parse", f"{rev}^{{commit}}")
-    return {"rev": rev, "commit": commit, "dirty": False,
-            "src_tree": git("rev-parse", f"{commit}:src"), "tree_ish": commit}
+def describe_sides() -> dict:
+    commit = git("rev-parse", "HEAD")
+    tree = working_tree()
+    return {
+        "base": {"rev": "HEAD", "commit": commit, "dirty": False,
+                 "src_tree": git("rev-parse", f"{commit}:src"), "tree_ish": commit},
+        "head": {"rev": "working tree", "commit": commit, "dirty": True,
+                 "src_tree": git("rev-parse", f"{tree}:src"), "tree_ish": tree},
+    }
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+           "--seconds", str(SECONDS)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -97,26 +92,17 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench_pairs-"))
-    sides = {"base": describe(args.base), "head": describe(args.head)}
-    checkouts = {}
-    for name, side in sides.items():
-        checkouts[name] = workdir / name
-        export(side.pop("tree_ish"), checkouts[name])
+def run_pairs(checkouts: dict, pairs: int, seeds: list[int]) -> dict:
     spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
     gated = {m["name"]: m for m in spec["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-
     results = {}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"base": [], "head": []}
-        for i in range(args.pairs):
-            seed = args.seeds[i % len(args.seeds)]
+        for i in range(pairs):
+            seed = seeds[i % len(seeds)]
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for name in order:
-                runs[name].append(run_once(checkouts[name], workload, seed, args.seconds))
+                runs[name].append(run_once(checkouts[name], workload, seed))
                 line = runs[name][-1]
                 print(f"{workload} pair {i} seed {seed} {name}: "
                       + " ".join(f"{k}={v['value']}" for k, v in line["metrics"].items()), flush=True)
@@ -139,10 +125,22 @@ def main(argv=None) -> int:
             "failed": {name: sum(r["failed"] for r in runs[name]) for name in runs},
             "correct": {name: all(r["correct"] for r in runs[name]) for name in runs},
         }
+    return results
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    sides = describe_sides()
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
+        checkouts = {}
+        for name, side in sides.items():
+            checkouts[name] = Path(workdir) / name
+            export(side.pop("tree_ish"), checkouts[name])
+        results = run_pairs(checkouts, args.pairs, args.seeds)
 
     payload = {
         "pr": args.pr,
-        "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
+        "command": f"perfbench/run.py --workload W --seed S --seconds {SECONDS}",
         "order": "ABBA: base first on even pairs, head first on odd ones",
         "pairs": args.pairs,
         "seeds": args.seeds,
@@ -152,7 +150,7 @@ def main(argv=None) -> int:
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "workloads": results,
     }
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
     return 0
