@@ -54,29 +54,35 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _sq_distances(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances ||x||^2 - 2 x.c + ||c||^2, built in place."""
+    # Scaling by -2 is exact: only the products and the sums round.
+    dists = points @ (-2.0 * centers).T
+    dists += sq_norms[:, None]
+    dists += np.sum(centers**2, axis=1)
+    return dists
+
+
 def _lloyd(points: np.ndarray, centers: np.ndarray):
-    n, d = points.shape
     k = centers.shape[0]
-    centers = centers.copy()
     sq_norms = np.sum(points**2, axis=1)
-    labels = np.zeros(n, dtype=np.int64)
+    columns = np.ascontiguousarray(points.T)
     for _ in range(_LLOYD_MAX_ITER):
-        dists = sq_norms[:, None] - 2.0 * points @ centers.T + np.sum(centers**2, axis=1)[None, :]
+        dists = _sq_distances(points, sq_norms, centers)
         labels = np.argmin(dists, axis=1)
-        new_centers = np.empty_like(centers)
-        for j in range(k):
-            members = labels == j
-            if not np.any(members):
-                # Re-seed a starved center at the point worst served by its own.
-                worst = int(np.argmax(np.min(dists, axis=1)))
-                new_centers[j] = points[worst]
-            else:
-                new_centers[j] = points[members].mean(axis=0)
+        # Each center's members are summed one by one in point order.
+        counts = np.bincount(labels, minlength=k)
+        new_centers = np.stack([np.bincount(labels, weights=c, minlength=k) for c in columns], axis=1)
+        new_centers /= np.maximum(counts, 1)[:, None]
+        empty = counts == 0
+        if np.any(empty):
+            # Re-seed starved centers at the point worst served by its own.
+            new_centers[empty] = points[int(np.argmax(np.min(dists, axis=1)))]
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if shift <= _LLOYD_TOL:
             break
-    dists = sq_norms[:, None] - 2.0 * points @ centers.T + np.sum(centers**2, axis=1)[None, :]
+    dists = _sq_distances(points, sq_norms, centers)
     labels = np.argmin(dists, axis=1)
     inertia = float(np.sum(np.maximum(np.min(dists, axis=1), 0.0)))
     return labels, centers, inertia
@@ -143,10 +149,10 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
     """Local-density weights from a truncated Gaussian kernel sum.
 
     For each point the squared Euclidean distances to its ``q`` nearest
-    neighbours (the point itself excluded), found with a k-d tree, enter
-    ``sum_j exp(-d2_ij / bandwidth)``, so dense regions score close to ``q``
-    and isolated points close to zero.  Results are clamped to a tiny
-    positive floor.
+    neighbours (the point itself excluded), found with a k-d tree queried
+    on every core, enter ``sum_j exp(-d2_ij / bandwidth)``, so dense regions
+    score close to ``q`` and isolated points close to zero.  Results are
+    clamped to a tiny positive floor.
     """
     points = as_dataset(data).points
     n = points.shape[0]
@@ -154,7 +160,8 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
         raise QTooLarge(f"q={q} needs 1 <= q <= n-1 with n={n}")
     if not bandwidth > 0.0:
         raise NonPositiveWeight("bandwidth must be positive")
-    dists, _ = cKDTree(points).query(points, k=q + 1)
+    # Each point's distances do not depend on which thread finds them.
+    dists, _ = cKDTree(points).query(points, k=q + 1, workers=-1)
     return kernel_sums(dists[:, 1:] ** 2, bandwidth)
 
 

@@ -1,0 +1,66 @@
+"""Masked-mean Lloyd's algorithm used as a test oracle.
+
+This is the straightforward form of k-means: every iteration builds one
+boolean mask per center and averages the masked rows with ``mean``, and the
+distances are ``||x||^2 - 2 x.c + ||c||^2`` written as one expression.  The
+package takes the center sums from grouped ``bincount`` calls and builds the
+distances in place; for d >= 2 it must reproduce this oracle bit for bit.
+The iteration limit and tolerance are written out here instead of being
+imported, so a change to the package's values is caught too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wdmix.core import as_dataset
+from wdmix.initialization import _plus_plus_seed
+
+MAX_ITER = 100
+TOL = 1e-9
+
+
+def reference_distances(points, sq_norms, centers):
+    """(n, k) squared distances ||x||^2 - 2 x.c + ||c||^2 as one expression."""
+    return sq_norms[:, None] - 2.0 * points @ centers.T + np.sum(centers**2, axis=1)[None, :]
+
+
+def reference_lloyd(points: np.ndarray, centers: np.ndarray):
+    """Labels, centers and inertia after Lloyd's iterations from ``centers``."""
+    centers = centers.copy()
+    sq_norms = np.sum(points**2, axis=1)
+    for _ in range(MAX_ITER):
+        dists = reference_distances(points, sq_norms, centers)
+        labels = np.argmin(dists, axis=1)
+        new_centers = np.empty_like(centers)
+        for j in range(centers.shape[0]):
+            members = labels == j
+            if not np.any(members):
+                # Re-seed a starved center at the point worst served by its own.
+                worst = int(np.argmax(np.min(dists, axis=1)))
+                new_centers[j] = points[worst]
+            else:
+                new_centers[j] = points[members].mean(axis=0)
+        shift = float(np.max(np.abs(new_centers - centers)))
+        centers = new_centers
+        if shift <= TOL:
+            break
+    dists = reference_distances(points, sq_norms, centers)
+    labels = np.argmin(dists, axis=1)
+    inertia = float(np.sum(np.maximum(np.min(dists, axis=1), 0.0)))
+    return labels, centers, inertia
+
+
+def reference_kmeans(data, k: int, restarts: int = 10, seed=None):
+    """Best-of-``restarts`` :func:`reference_lloyd` from the package's k-means++ seeds.
+
+    Returns ``(labels, centers, inertia)`` of the best restart.
+    """
+    points = as_dataset(data).points
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(max(1, restarts)):
+        result = reference_lloyd(points, _plus_plus_seed(points, k, rng))
+        if best is None or result[2] < best[2]:
+            best = result
+    return best

@@ -242,6 +242,24 @@ class TestWeightState:
         marg = post.with_marginal([1.5, 1.75])
         assert marg.marginal_mean.tolist() == [1.5, 1.75]
 
+    def test_averaged_means_of_f_ordered_rates_at_elision_size(self):
+        # The selection engine records weights from F-ordered distance columns.
+        # At n * K >= 32,768 NumPy may reuse a temporary's buffer and layout,
+        # and with K >= 8 a C-ordered row sums pairwise where an F-ordered one
+        # does not, so the bits must equal those of C-ordered copies.
+        gen = np.random.default_rng(11)
+        n, k = 4_096, 10
+        alpha, beta = gen.uniform(0.25, 2.0, size=(2, n))
+        rates = beta[:, None] + 0.5 * np.asfortranarray(gen.exponential(3.0, size=(n, k)))
+        eta = gen.dirichlet(np.ones(k), size=n)
+        prior = WeightState.random_prior(alpha, beta)
+        state = prior.with_posterior(alpha + 4.0, rates)
+        assert state.post_b.flags.f_contiguous
+        c_state = prior.with_posterior(alpha + 4.0, np.ascontiguousarray(rates))
+        got = state.averaged_means(eta)
+        assert got.tobytes() == c_state.averaged_means(eta).tobytes()
+        assert got.tobytes() == np.sum(eta * c_state.post_mean, axis=1).tobytes()
+
 
 class TestResponsibilities:
     def test_rows_must_sum_to_one(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from wdmix import (
     CovarianceShape,
@@ -13,7 +14,13 @@ from wdmix import (
     pipeline_gamma_priors,
     validate_dataset,
 )
-from wdmix.initialization import PRIOR_WEIGHT_FLOOR
+from wdmix.initialization import (
+    PRIOR_WEIGHT_FLOOR,
+    _lloyd,
+    _plus_plus_seed,
+    _sq_distances,
+    kernel_sums,
+)
 from wdmix.errors import (
     EmptyCluster,
     KTooLarge,
@@ -21,6 +28,8 @@ from wdmix.errors import (
     NonPositiveWeight,
     QTooLarge,
 )
+
+from reference_kmeans import reference_distances, reference_kmeans, reference_lloyd
 
 
 class TestKmeans:
@@ -64,6 +73,73 @@ class TestKmeans:
         assert labels[0] == labels[1]
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
+
+
+def _blobs(n: int, d: int, k: int, seed: int) -> np.ndarray:
+    """k Gaussian blobs plus 20% uniform points: Lloyd needs several iterations."""
+    gen = np.random.default_rng(seed)
+    centers = gen.normal(size=(k, d)) * 8.0
+    points = centers[gen.integers(k, size=n)] + gen.normal(size=(n, d))
+    outliers = gen.random(n) < 0.2
+    points[outliers] = gen.uniform(-20.0, 20.0, size=(int(outliers.sum()), d))
+    return points
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert np.asarray(g).dtype == np.asarray(w).dtype
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+class TestMatchesMaskedMeanLloyd:
+    """Grouped-sum Lloyd against the masked-mean oracle in reference_kmeans.py."""
+
+    @pytest.mark.parametrize(
+        "d, n, k",
+        [(2, 900, 15), (8, 600, 6), (8, 5_000, 8)],  # the last at n * k >= 32,768
+        ids=["d2", "d8", "d8-elision-size"],
+    )
+    def test_kmeans_bit_identical(self, d, n, k):
+        points = _blobs(n, d, k, seed=d)
+        labels, centers = kmeans(points, k, restarts=3, seed=5)
+        want_labels, want_centers, _ = reference_kmeans(points, k, restarts=3, seed=5)
+        _assert_same_bits((labels, centers), (want_labels, want_centers))
+
+    def test_distances_bit_identical_at_elision_size(self):
+        points = _blobs(5_000, 8, 8, seed=1)
+        centers = points[:8] + 0.5
+        sq_norms = np.sum(points**2, axis=1)
+        want = reference_distances(points, sq_norms, centers)
+        assert _sq_distances(points, sq_norms, centers).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lloyd_bit_identical(self, seed):
+        gen = np.random.default_rng(seed)
+        d, k = int(gen.integers(2, 9)), int(gen.integers(2, 10))
+        points = _blobs(int(gen.integers(50, 400)), d, k, seed)
+        start = _plus_plus_seed(points, k, gen)
+        _assert_same_bits(_lloyd(points, start), reference_lloyd(points, start))
+
+    def test_empty_center_is_reseeded_as_in_the_oracle(self):
+        points = _blobs(300, 3, 4, seed=7)
+        start = points[:5].copy()
+        start[2] = 1e4  # no point is nearest to this center on the first pass
+        first_labels = np.argmin(((points[:, None, :] - start) ** 2).sum(axis=2), axis=1)
+        assert not np.any(first_labels == 2)
+        got = _lloyd(points, start)
+        _assert_same_bits(got, reference_lloyd(points, start))
+        assert np.any(got[0] == 2)
+
+    def test_one_dimension_matches_to_rounding(self):
+        # A single column is summed pairwise by the masked mean and in point
+        # order by the grouped sums, so only the last bits may differ.
+        points = _blobs(2_000, 1, 5, seed=3)
+        start = _plus_plus_seed(points, 5, np.random.default_rng(3))
+        labels, centers, inertia = _lloyd(points, start)
+        want_labels, want_centers, want_inertia = reference_lloyd(points, start)
+        assert np.array_equal(labels, want_labels)
+        np.testing.assert_allclose(centers, want_centers, rtol=1e-12, atol=0.0)
+        assert inertia == pytest.approx(want_inertia, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -160,6 +236,14 @@ class TestKnnKernelWeights:
         points[260:262] = points[1]
         got = knn_kernel_weights(points, q=7, bandwidth=100.0)
         np.testing.assert_allclose(got, _oracle_weights(points, 7, 100.0), rtol=1e-12, atol=0.0)
+
+    def test_every_core_matches_one_thread(self):
+        gen = np.random.default_rng(6)
+        points = gen.normal(size=(2_400, 8)) * 3.0
+        points[2_000:2_100] = points[0]  # a stack of 101 coincident points
+        dists, _ = cKDTree(points).query(points, k=21, workers=1)
+        want = kernel_sums(dists[:, 1:] ** 2, 100.0)
+        assert knn_kernel_weights(points, q=20, bandwidth=100.0).tobytes() == want.tobytes()
 
     def test_parameter_validation(self):
         data = validate_dataset([[0.0, 0.0], [1.0, 1.0]])
