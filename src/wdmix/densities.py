@@ -51,7 +51,35 @@ def squared_distances(points: np.ndarray, mean: np.ndarray, factor: np.ndarray) 
     z, info = dtrtrs(factor, diff.T, lower=1)
     if info != 0:
         raise NonPositiveDefinite(f"triangular solve failed (LAPACK info {info})")
-    return np.sum(z * z, axis=0)
+    z *= z
+    return _pairwise_sum(list(z))
+
+
+def _pairwise_sum(terms: list) -> np.ndarray:
+    """Elementwise sum of equal-length vectors, in the order ``np.sum`` adds a short axis.
+
+    Over the columns of a C-ordered (n, m) matrix this is ``np.sum(matrix,
+    axis=1)`` bit for bit, as sweeps over whole vectors: below 8 terms in
+    sequence; up to 128 as eight interleaved partial sums r0..r7, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in sequence; above
+    128, two halves split at a multiple of 8.  NumPy starts from +0.0 and this
+    from the first term, so the two differ only where that term is -0.0,
+    which squares and exponentials never are.  A test checks the order.
+    """
+    m = len(terms)
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if m < 8:
+        out, tail = (terms[0] + terms[1], 2) if m > 1 else (terms[0].copy(), 1)
+    else:
+        r, tail = terms[:8], m - m % 8
+        for i in range(8, tail, 8):
+            r = [a + b for a, b in zip(r, terms[i : i + 8])]
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in terms[tail:]:
+        out += term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +245,22 @@ def normalize_log_responsibilities(log_weighted: np.ndarray) -> tuple[np.ndarray
     numerators the latter are the points' log-likelihoods.  Raises
     DegenerateRow when a point has zero density under every component.
     """
-    row_max = np.max(log_weighted, axis=1, keepdims=True)
+    row_max = log_weighted[:, 0].copy()
+    for column in log_weighted.T[1:]:
+        np.maximum(row_max, column, out=row_max)
     finite = np.isfinite(row_max)
     if not np.all(finite):
         bad = int(np.argmin(finite))
         raise DegenerateRow(f"point {bad} has no component with positive density")
-    shifted = log_weighted - row_max
+    shifted = log_weighted - row_max[:, None]
     np.exp(shifted, out=shifted)
-    norm = np.log(shifted.sum(axis=1, keepdims=True))
+    norm = np.log(_pairwise_sum(list(shifted.T)))
     norm += row_max
-    eta = log_weighted - norm
+    eta = log_weighted - norm[:, None]
     np.exp(eta, out=eta)
     # Guard against rounding pushing a row sum a hair away from 1.
-    eta /= eta.sum(axis=1, keepdims=True)
-    return eta, norm[:, 0]
+    eta /= _pairwise_sum(list(eta.T))[:, None]
+    return eta, norm
 
 
 def expected_log_terms(eta, log_pi, log_dets, wbar, maha) -> float:

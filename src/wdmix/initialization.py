@@ -19,7 +19,8 @@ from .core import (
     data_scale,
     floored_covariance,
 )
-from .errors import EmptyCluster, KTooLarge, NonPositiveWeight, QTooLarge
+from .densities import _pairwise_sum
+from .errors import EmptyCluster, KTooLarge, NonPositiveArgument, NonPositiveWeight, QTooLarge
 
 # Kernel sums are clamped away from zero so downstream gamma priors stay valid
 # even for points isolated far beyond the kernel bandwidth.
@@ -41,7 +42,7 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centers = np.empty((k, points.shape[1]))
     first = int(rng.integers(n))
     centers[0] = points[first]
-    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    closest = _sq_distances_to(points, centers[0])
     for j in range(1, k):
         total = float(closest.sum())
         if total > 0.0:
@@ -50,25 +51,41 @@ def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.integers(n))
         centers[j] = points[idx]
-        closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
+        closest = np.minimum(closest, _sq_distances_to(points, centers[j]))
     return centers
 
 
-def _sq_distances(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances ||x||^2 - 2 x.c + ||c||^2, built in place."""
-    # Scaling by -2 is exact: only the products and the sums round.
-    dists = points @ (-2.0 * centers).T
-    dists += sq_norms[:, None]
-    dists += np.sum(centers**2, axis=1)
-    return dists
+def _sq_distances_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """(n,) sums of squared differences, in the order of ``np.sum(..., axis=1)`` on C-ordered points."""
+    diff = points - center
+    diff *= diff
+    return _pairwise_sum(list(diff.T))
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray):
-    k = centers.shape[0]
-    sq_norms = np.sum(points**2, axis=1)
+def _augmented(points: np.ndarray) -> np.ndarray:
+    """(n, d + 2) rows [x, ||x||^2, 1], the left factor of :func:`_sq_distances`."""
+    return np.column_stack([points, np.sum(points**2, axis=1), np.ones(points.shape[0])])
+
+
+def _sq_distances(aug: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances ||x||^2 - 2 x.c + ||c||^2 as one product with rows [-2c, 1, ||c||^2].
+
+    OpenBLAS's gemm adds each entry's d + 2 products in column order: the bits
+    of (x.(-2c) + ||x||^2) + ||c||^2.  At k = 1 (a matrix-vector product) the
+    last bits may differ, but one center admits only one labelling.
+    """
+    coef = np.column_stack([-2.0 * centers, np.ones(len(centers)), np.sum(centers**2, axis=1)])
+    return aug @ coef.T
+
+
+def _lloyd(aug: np.ndarray, centers: np.ndarray):
+    """Labels, centers and inertia of Lloyd's iterations from ``centers`` over :func:`_augmented` points."""
+    k, d = centers.shape
+    points = aug[:, :d]
     columns = np.ascontiguousarray(points.T)
+    rows = np.arange(aug.shape[0])
     for _ in range(_LLOYD_MAX_ITER):
-        dists = _sq_distances(points, sq_norms, centers)
+        dists = _sq_distances(aug, centers)
         labels = np.argmin(dists, axis=1)
         # Each center's members are summed one by one in point order.
         counts = np.bincount(labels, minlength=k)
@@ -77,14 +94,14 @@ def _lloyd(points: np.ndarray, centers: np.ndarray):
         empty = counts == 0
         if np.any(empty):
             # Re-seed starved centers at the point worst served by its own.
-            new_centers[empty] = points[int(np.argmax(np.min(dists, axis=1)))]
+            new_centers[empty] = points[int(np.argmax(dists[rows, labels]))]
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if shift <= _LLOYD_TOL:
             break
-    dists = _sq_distances(points, sq_norms, centers)
+    dists = _sq_distances(aug, centers)
     labels = np.argmin(dists, axis=1)
-    inertia = float(np.sum(np.maximum(np.min(dists, axis=1), 0.0)))
+    inertia = float(np.sum(np.maximum(dists[rows, labels], 0.0)))
     return labels, centers, inertia
 
 
@@ -92,17 +109,21 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
     """Best-of-``restarts`` Lloyd's algorithm with k-means++ seeding.
 
     Returns ``(labels, centers)`` of the restart with the lowest
-    within-cluster sum of squares.  Deterministic for a given seed.
+    within-cluster sum of squares.  Deterministic for a given seed; the
+    points are read in C order.  Raises KTooLarge unless 1 <= k <= n and
+    NonPositiveArgument unless ``restarts`` >= 1.
     """
-    points = as_dataset(data).points
+    points = np.ascontiguousarray(as_dataset(data).points)
     n = points.shape[0]
     if k < 1 or k > n:
         raise KTooLarge(f"cannot place {k} clusters on {n} points")
+    if restarts < 1:
+        raise NonPositiveArgument(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
+    aug = _augmented(points)
     best = None
-    for _ in range(max(1, restarts)):
-        centers0 = _plus_plus_seed(points, k, rng)
-        labels, centers, inertia = _lloyd(points, centers0)
+    for _ in range(restarts):
+        labels, centers, inertia = _lloyd(aug, _plus_plus_seed(points, k, rng))
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     return best[0], best[1]
@@ -149,10 +170,12 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
     """Local-density weights from a truncated Gaussian kernel sum.
 
     For each point the squared Euclidean distances to its ``q`` nearest
-    neighbours (the point itself excluded), found with a k-d tree queried
-    on every core, enter ``sum_j exp(-d2_ij / bandwidth)``, so dense regions
-    score close to ``q`` and isolated points close to zero.  Results are
-    clamped to a tiny positive floor.
+    neighbours (the point itself excluded) enter
+    ``sum_j exp(-d2_ij / bandwidth)``, so dense regions score close to ``q``
+    and isolated points close to zero.  Results are clamped to a tiny
+    positive floor.  A sliding-midpoint k-d tree finds the neighbours,
+    queried on every core in the tree's leaf order, so that consecutive
+    queries visit the same leaves.
     """
     points = as_dataset(data).points
     n = points.shape[0]
@@ -160,8 +183,12 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
         raise QTooLarge(f"q={q} needs 1 <= q <= n-1 with n={n}")
     if not bandwidth > 0.0:
         raise NonPositiveWeight("bandwidth must be positive")
-    # Each point's distances do not depend on which thread finds them.
-    dists, _ = cKDTree(points).query(points, k=q + 1, workers=-1)
+    # Each pair's distance is computed the same way whatever the tree's shape
+    # and whichever thread finds it, and eps=0 keeps the search exact.
+    tree = cKDTree(points, leafsize=32, balanced_tree=False)
+    found, _ = tree.query(tree.data[tree.indices], k=q + 1, workers=-1)
+    dists = np.empty_like(found)
+    dists[tree.indices] = found
     return kernel_sums(dists[:, 1:] ** 2, bandwidth)
 
 

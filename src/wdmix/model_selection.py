@@ -29,7 +29,7 @@ from .core import (
     factor_covariance,
     weighted_component,
 )
-from .densities import GammaWeights, expected_log_terms, squared_distances
+from .densities import GammaWeights, _pairwise_sum, expected_log_terms, squared_distances
 from .errors import AllAnnihilated, DegenerateRow, DimensionMismatch, EmptyInput, NoActiveComponents
 from .initialization import default_weights, kmeans, model_from_labels
 
@@ -245,7 +245,8 @@ class _SelectionEngine:
     def _rebuild(self) -> None:
         """Reset each row's shift to its largest log pi + log density."""
         act = self.active
-        shift = np.max(self.log_dens[:, act] + np.log(self.pis[act]), axis=1)
+        # Elementwise over the columns, not one short row at a time.
+        shift = np.maximum.reduce([self.log_dens[:, j] + lp for j, lp in zip(act, np.log(self.pis[act]))])
         finite = np.isfinite(shift)
         if not np.all(finite):
             bad = int(np.argmin(finite))
@@ -307,7 +308,7 @@ class _SelectionEngine:
         # C order, as message_length's copy of it, so q_value sums in the same order.
         eta = np.multiply(self.E[:, act], self.pis[act], order="C")
         eta *= r[:, None]
-        eta /= eta.sum(axis=1, keepdims=True)
+        eta /= _pairwise_sum(list(eta.T))[:, None]
         pis = self.pis[act] / self.pis[act].sum()
         maha = self.maha[:, act]
         wbar = self.kernel.weight_means(maha)

@@ -1,12 +1,14 @@
 """Masked-mean Lloyd's algorithm used as a test oracle.
 
-This is the straightforward form of k-means: every iteration builds one
-boolean mask per center and averages the masked rows with ``mean``, and the
-distances are ``||x||^2 - 2 x.c + ||c||^2`` written as one expression.  The
-package takes the center sums from grouped ``bincount`` calls and builds the
-distances in place; for d >= 2 it must reproduce this oracle bit for bit.
-The iteration limit and tolerance are written out here instead of being
-imported, so a change to the package's values is caught too.
+This is the straightforward form of k-means: k-means++ seeds from
+``np.sum`` row sums, then every iteration builds one boolean mask per center
+and averages the masked rows with ``mean``, and the distances are
+``||x||^2 - 2 x.c + ||c||^2`` written as one expression.  The package takes
+the center sums from grouped ``bincount`` calls and each distance from one
+matrix product over the points augmented with their squared norms; for
+d >= 2 it must reproduce this oracle bit for bit.  The seeding, iteration
+limit and tolerance are written out here instead of being imported, so a
+change to the package's is caught too.
 """
 
 from __future__ import annotations
@@ -14,10 +16,26 @@ from __future__ import annotations
 import numpy as np
 
 from wdmix.core import as_dataset
-from wdmix.initialization import _plus_plus_seed
 
 MAX_ITER = 100
 TOL = 1e-9
+
+
+def reference_seed(points, k, rng):
+    """k-means++ seeding: spread initial centers by squared-distance sampling."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(closest.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=closest / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = points[idx]
+        closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
 
 
 def reference_distances(points, sq_norms, centers):
@@ -52,15 +70,15 @@ def reference_lloyd(points: np.ndarray, centers: np.ndarray):
 
 
 def reference_kmeans(data, k: int, restarts: int = 10, seed=None):
-    """Best-of-``restarts`` :func:`reference_lloyd` from the package's k-means++ seeds.
+    """Best-of-``restarts`` :func:`reference_lloyd` from :func:`reference_seed`.
 
     Returns ``(labels, centers, inertia)`` of the best restart.
     """
     points = as_dataset(data).points
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, restarts)):
-        result = reference_lloyd(points, _plus_plus_seed(points, k, rng))
+    for _ in range(restarts):
+        result = reference_lloyd(points, reference_seed(points, k, rng))
         if best is None or result[2] < best[2]:
             best = result
     return best

@@ -412,6 +412,15 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [("fit", "--k", 2), ("select", "--k-high", 3)], ids=["fit", "select"]
+    )
+    def test_no_restarts_exits_one(self, command, small_csv, tmp_path, capsys):
+        code = run_cli(*command, "--input", small_csv, "--restarts", 0, "--out", tmp_path / "x")
+        assert code == 1
+        assert "error: restarts must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_assignment_label_without_center_exits_one(self, fitted, small_csv, tmp_path, capsys):
         labels = read_assignments_csv(f"{fitted}.assignments.csv")
         labels[-1] = 7  # the model has five components

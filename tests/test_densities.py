@@ -14,6 +14,7 @@ from wdmix import (
     model_from_parameters,
 )
 from wdmix.densities import (
+    _pairwise_sum,
     log_mixture_density,
     mahalanobis_matrix,
     normalize_log_responsibilities,
@@ -26,6 +27,8 @@ from wdmix.errors import (
     NonPositiveShape,
     NonPositiveWeight,
 )
+
+from reference_em import _maha_matrix, _normalize
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +215,54 @@ class TestMatrixForms:
         mat = scaled_gaussian_log_matrix(pts, model.components, 1.0)
         got = log_mixture_density(pts, model, mat)
         assert np.allclose(got, mat[:, 0], rtol=1e-12)
+
+
+def _mixed_terms(gen, shape):
+    """Mixed signs over some twenty orders of magnitude."""
+    return gen.normal(size=shape) * 10.0 ** gen.uniform(-10.0, 10.0, size=shape)
+
+
+def _random_model(gen, d, k, shape):
+    means = [gen.normal(size=d) * 5.0 for _ in range(k)]
+    if shape == "diagonal":
+        covs = [gen.uniform(0.2, 4.0, size=d) for _ in range(k)]
+    else:
+        factors = [gen.normal(size=(d, d)) for _ in range(k)]
+        covs = [f @ f.T + 0.5 * np.eye(d) for f in factors]
+    return model_from_parameters(means, covs, np.full(k, 1.0 / k), shape)
+
+
+class TestSummationOrder:
+    """The column sweeps add in NumPy's own order; a NumPy that changes it fails here."""
+
+    @pytest.mark.parametrize("m", [*range(1, 10), 15, 16, 20, 21, 127, 128, 129, 300])
+    def test_pairwise_sum_matches_numpy(self, m):
+        gen = np.random.default_rng(m)
+        rows = _mixed_terms(gen, (257, m))
+        assert _pairwise_sum(list(rows.T)).tobytes() == np.sum(rows, axis=1).tobytes()
+        stacked = np.asfortranarray(_mixed_terms(gen, (m, 257)))
+        assert _pairwise_sum(list(stacked)).tobytes() == np.sum(stacked, axis=0).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 8, 15])
+    @pytest.mark.parametrize("n", [200, 5_000])  # the second at n * K >= 32,768 for K = 7, 8, 15
+    def test_normalize_matches_oracle(self, k, n):
+        gen = np.random.default_rng(10 * k + n)
+        log_weighted = gen.normal(size=(n, k)) * 40.0 - 300.0
+        if k > 1:
+            log_weighted[gen.random((n, k)) < 0.3] = -np.inf
+            log_weighted[:, 0] = np.maximum(log_weighted[:, 0], -1e3)  # one finite entry per row
+            log_weighted[:, -1] = -np.inf  # a component with zero proportion
+        eta, log_norm = normalize_log_responsibilities(log_weighted)
+        assert eta.tobytes() == _normalize(log_weighted).matrix.tobytes()
+        shift = np.max(log_weighted, axis=1, keepdims=True)
+        want_norm = np.log(np.sum(np.exp(log_weighted - shift), axis=1)) + shift[:, 0]
+        assert log_norm.tobytes() == want_norm.tobytes()
+
+    @pytest.mark.parametrize("shape", ["full", "diagonal"])
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 15])
+    def test_mahalanobis_matrix_matches_oracle(self, d, shape):
+        gen = np.random.default_rng(d)
+        model = _random_model(gen, d, 3, shape)
+        points = gen.normal(size=(11_000, d)) * 4.0  # n * K >= 32,768
+        want = _maha_matrix(points, model)
+        assert mahalanobis_matrix(points, model.components).tobytes() == want.tobytes()

@@ -16,20 +16,23 @@ from wdmix import (
 )
 from wdmix.initialization import (
     PRIOR_WEIGHT_FLOOR,
+    _augmented,
     _lloyd,
     _plus_plus_seed,
     _sq_distances,
+    _sq_distances_to,
     kernel_sums,
 )
 from wdmix.errors import (
     EmptyCluster,
     KTooLarge,
     NaNInput,
+    NonPositiveArgument,
     NonPositiveWeight,
     QTooLarge,
 )
 
-from reference_kmeans import reference_distances, reference_kmeans, reference_lloyd
+from reference_kmeans import reference_distances, reference_kmeans, reference_lloyd, reference_seed
 
 
 class TestKmeans:
@@ -67,6 +70,11 @@ class TestKmeans:
         with pytest.raises(KTooLarge):
             kmeans(blobs_2d, blobs_2d.n + 1, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_rejects_fewer_than_one_restart(self, blobs_2d, restarts):
+        with pytest.raises(NonPositiveArgument, match="restarts"):
+            kmeans(blobs_2d, 3, restarts=restarts, seed=0)
+
     def test_accepts_raw_arrays(self):
         points = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
         labels, _ = kmeans(points, 2, seed=0)
@@ -91,13 +99,20 @@ def _assert_same_bits(got, want):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
+def _assert_distances_match_oracle(d: int):
+    points = _blobs(5_000, d, 8, seed=1)  # n * k = 40,000, above NumPy's elision size
+    centers = points[:8] + 0.5
+    want = reference_distances(points, np.sum(points**2, axis=1), centers)
+    assert _sq_distances(_augmented(points), centers).tobytes() == want.tobytes()
+
+
 class TestMatchesMaskedMeanLloyd:
-    """Grouped-sum Lloyd against the masked-mean oracle in reference_kmeans.py."""
+    """Grouped-sum, one-product Lloyd against the masked-mean oracle in reference_kmeans.py."""
 
     @pytest.mark.parametrize(
         "d, n, k",
-        [(2, 900, 15), (8, 600, 6), (8, 5_000, 8)],  # the last at n * k >= 32,768
-        ids=["d2", "d8", "d8-elision-size"],
+        [(2, 900, 15), (8, 600, 6), (8, 5_000, 8), (16, 2_000, 6)],  # the third at n * k >= 32,768
+        ids=["d2", "d8", "d8-elision-size", "d16"],
     )
     def test_kmeans_bit_identical(self, d, n, k):
         points = _blobs(n, d, k, seed=d)
@@ -105,12 +120,30 @@ class TestMatchesMaskedMeanLloyd:
         want_labels, want_centers, _ = reference_kmeans(points, k, restarts=3, seed=5)
         _assert_same_bits((labels, centers), (want_labels, want_centers))
 
+    def test_kmeans_one_dimension_matches_to_rounding(self):
+        # See test_one_dimension_matches_to_rounding: only the centers' last bits may move.
+        points = _blobs(2_000, 1, 5, seed=1)
+        labels, centers = kmeans(points, 5, restarts=3, seed=5)
+        want_labels, want_centers, _ = reference_kmeans(points, 5, restarts=3, seed=5)
+        assert np.array_equal(labels, want_labels)
+        np.testing.assert_allclose(centers, want_centers, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 16])
+    def test_seeds_bit_identical(self, d):
+        points = _blobs(700, d, 9, seed=d)
+        got = _plus_plus_seed(points, 9, np.random.default_rng(d))
+        assert got.tobytes() == reference_seed(points, 9, np.random.default_rng(d)).tobytes()
+        # A last-bit change in the sampling weights rarely moves a draw, so
+        # check the sums that the seeding samples from directly.
+        want = np.sum((points - got[1]) ** 2, axis=1)
+        assert _sq_distances_to(points, got[1]).tobytes() == want.tobytes()
+
     def test_distances_bit_identical_at_elision_size(self):
-        points = _blobs(5_000, 8, 8, seed=1)
-        centers = points[:8] + 0.5
-        sq_norms = np.sum(points**2, axis=1)
-        want = reference_distances(points, sq_norms, centers)
-        assert _sq_distances(points, sq_norms, centers).tobytes() == want.tobytes()
+        _assert_distances_match_oracle(8)
+
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_distances_bit_identical_in_other_dimensions(self, d):
+        _assert_distances_match_oracle(d)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_lloyd_bit_identical(self, seed):
@@ -118,7 +151,7 @@ class TestMatchesMaskedMeanLloyd:
         d, k = int(gen.integers(2, 9)), int(gen.integers(2, 10))
         points = _blobs(int(gen.integers(50, 400)), d, k, seed)
         start = _plus_plus_seed(points, k, gen)
-        _assert_same_bits(_lloyd(points, start), reference_lloyd(points, start))
+        _assert_same_bits(_lloyd(_augmented(points), start), reference_lloyd(points, start))
 
     def test_empty_center_is_reseeded_as_in_the_oracle(self):
         points = _blobs(300, 3, 4, seed=7)
@@ -126,7 +159,7 @@ class TestMatchesMaskedMeanLloyd:
         start[2] = 1e4  # no point is nearest to this center on the first pass
         first_labels = np.argmin(((points[:, None, :] - start) ** 2).sum(axis=2), axis=1)
         assert not np.any(first_labels == 2)
-        got = _lloyd(points, start)
+        got = _lloyd(_augmented(points), start)
         _assert_same_bits(got, reference_lloyd(points, start))
         assert np.any(got[0] == 2)
 
@@ -135,7 +168,7 @@ class TestMatchesMaskedMeanLloyd:
         # order by the grouped sums, so only the last bits may differ.
         points = _blobs(2_000, 1, 5, seed=3)
         start = _plus_plus_seed(points, 5, np.random.default_rng(3))
-        labels, centers, inertia = _lloyd(points, start)
+        labels, centers, inertia = _lloyd(_augmented(points), start)
         want_labels, want_centers, want_inertia = reference_lloyd(points, start)
         assert np.array_equal(labels, want_labels)
         np.testing.assert_allclose(centers, want_centers, rtol=1e-12, atol=0.0)
@@ -244,6 +277,16 @@ class TestKnnKernelWeights:
         dists, _ = cKDTree(points).query(points, k=21, workers=1)
         want = kernel_sums(dists[:, 1:] ** 2, 100.0)
         assert knn_kernel_weights(points, q=20, bandwidth=100.0).tobytes() == want.tobytes()
+
+    def test_ties_at_the_last_neighbour_match_a_serial_default_tree(self):
+        # Rounded coordinates put many points at equal distances, so the q-th
+        # neighbour is often one of several tied candidates.
+        gen = np.random.default_rng(8)
+        points = np.round(gen.normal(size=(3_000, 2)) * 4.0)
+        dists, _ = cKDTree(points).query(points, k=16, workers=1)
+        assert np.mean(dists[:, 15] == dists[:, 14]) > 0.5
+        want = kernel_sums(dists[:, 1:] ** 2, 10.0)
+        assert knn_kernel_weights(points, q=15, bandwidth=10.0).tobytes() == want.tobytes()
 
     def test_parameter_validation(self):
         data = validate_dataset([[0.0, 0.0], [1.0, 1.0]])
