@@ -161,9 +161,12 @@ def read_assignments_csv(path) -> np.ndarray:
             if not line.strip():
                 continue
             try:
-                clusters.append(int(line.partition(",")[2]))
+                index, cluster = (int(field) for field in line.split(","))
             except ValueError:
                 raise NonRectangular(f"{path} line {lineno}: expected index,cluster") from None
+            if index != len(clusters):
+                raise NonRectangular(f"{path} line {lineno}: index {index}, expected {len(clusters)}")
+            clusters.append(cluster)
         return np.array(clusters, dtype=np.int64)
 
 

@@ -75,8 +75,11 @@ class Dataset:
             raise NonRectangular("points must be a non-empty 2-D array")
         if not np.issubdtype(pts.dtype, np.floating):
             raise NonRectangular("points must be a float array")
+        pts = np.array(pts, dtype=np.float64, order="C")
         if not np.all(np.isfinite(pts)):
             raise NaNInput("points contain NaN or infinite entries")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
         n = pts.shape[0]
         for name in ("labels", "modality", "outlier_flag"):
             side = getattr(self, name)
@@ -104,12 +107,11 @@ def validate_dataset(points, labels=None, modality=None, outlier_flag=None) -> D
     length.
     """
     try:
-        pts = np.array(points, dtype=np.float64, copy=True)
+        pts = np.asarray(points, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise NonRectangular(f"points are not a rectangular numeric table: {exc}") from None
     if pts.ndim != 2:
         raise NonRectangular(f"points must be 2-D, got ndim={pts.ndim}")
-    pts.setflags(write=False)
     if labels is not None:
         labels = _frozen_array(labels, dtype=np.int64)
     if modality is not None:
@@ -397,6 +399,8 @@ class WeightState:
             marg = _frozen_array(self.marginal_mean)
             if marg.shape != (n,):
                 raise DimensionMismatch("marginal_mean must have one entry per point")
+            if not np.all(np.isfinite(marg)) or np.any(marg <= 0.0):
+                raise NonPositiveWeight("marginal weight means must be positive and finite")
             object.__setattr__(self, "marginal_mean", marg)
 
     @classmethod

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from .core import WeightMode, WeightState
 from .errors import (
@@ -59,6 +57,9 @@ def micro_f1(predicted, true) -> float:
     The matching maximises total overlap by rectangular assignment.  With
     single-label data and a full matching this equals plain accuracy.
     """
+    # scipy.optimize adds about 0.1 s to a cold import; only F1 needs it.
+    from scipy.optimize import linear_sum_assignment
+
     pred = np.asarray(predicted).ravel()
     truth = np.asarray(true).ravel()
     if pred.shape[0] != truth.shape[0] or pred.shape[0] == 0:
@@ -76,6 +77,22 @@ def micro_f1(predicted, true) -> float:
     fn = int(contingency.sum()) - tp
     denom = 2 * tp + fp + fn
     return 2.0 * tp / denom if denom else 0.0
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a finite vector, ties sharing their mean rank.
+
+    Equal to ``scipy.stats.rankdata(values)`` bit for bit: the tie group at
+    sorted positions start <= i < end gets the mean 1-based position
+    (start + end + 1) / 2, a half-integer and so exact in float64.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], ordered.size)
+    ranks = np.empty(ordered.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -108,6 +125,6 @@ def outlier_score_report(weight_state: WeightState, outlier_flag) -> OutlierScor
     outlier_mean = float(wbar[flags].mean()) if n_out else None
     auc = None
     if n_in and n_out:
-        ranks = rankdata(-wbar)
+        ranks = _average_ranks(-wbar)
         auc = float((ranks[flags].sum() - n_out * (n_out + 1) / 2.0) / (n_out * n_in))
     return OutlierScoreReport(inlier_mean, outlier_mean, auc)

@@ -109,11 +109,11 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
     """Best-of-``restarts`` Lloyd's algorithm with k-means++ seeding.
 
     Returns ``(labels, centers)`` of the restart with the lowest
-    within-cluster sum of squares.  Deterministic for a given seed; the
-    points are read in C order.  Raises KTooLarge unless 1 <= k <= n and
-    NonPositiveArgument unless ``restarts`` >= 1.
+    within-cluster sum of squares.  Deterministic for a given seed.  Raises
+    KTooLarge unless 1 <= k <= n and NonPositiveArgument unless
+    ``restarts`` >= 1.
     """
-    points = np.ascontiguousarray(as_dataset(data).points)
+    points = as_dataset(data).points
     n = points.shape[0]
     if k < 1 or k > n:
         raise KTooLarge(f"cannot place {k} clusters on {n} points")

@@ -452,6 +452,37 @@ class TestErrorHandling:
             assert code == 1
             assert f"error: {bad} line 3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows", ["0,1\n7,1\n7,0", "0,1\n2,0\n1,0", "foo,2"], ids=["repeated", "reordered", "non_numeric"]
+    )
+    def test_assignments_index_out_of_place_exits_one(self, rows, fitted, small_csv, tmp_path, capsys):
+        # Row i must carry index i, as written: a reordered or hand-edited
+        # file would otherwise score the wrong points.
+        bad = tmp_path / "bad.assignments.csv"
+        bad.write_text(f"index,cluster\n{rows}\n")
+        code = run_cli(
+            "evaluate", "--model", f"{fitted}.model.json", "--assignments", bad,
+            "--truth", small_csv,
+        )
+        assert code == 1
+        line = 2 if rows.startswith("foo") else 3
+        assert f"error: {bad} line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_mean", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_weight_mean_exits_one(self, bad_mean, fitted, small_csv, tmp_path, capsys):
+        payload = json.loads(Path(f"{fitted}.report.json").read_text())
+        payload["weight_means"][3] = bad_mean
+        report = tmp_path / "bad.report.json"
+        report.write_text(json.dumps(payload))
+        out = tmp_path / "metrics.json"
+        code = run_cli(
+            "evaluate", "--model", f"{fitted}.model.json", "--truth", small_csv,
+            "--metrics", "outliers", "--report", report, "--out", out,
+        )
+        assert code == 1
+        assert "error: marginal weight means must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_file_not_an_object_exits_one(self, small_csv, tmp_path, capsys):
         bad = tmp_path / "list.model.json"
         bad.write_text("[1, 2]\n")

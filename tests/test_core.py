@@ -41,6 +41,18 @@ class TestValidateDataset:
         with pytest.raises(ValueError):
             ds.points[0, 0] = 9.0
 
+    def test_points_are_a_c_ordered_float64_copy(self):
+        # Results depend on the points' layout (NumPy sums F-ordered rows in
+        # sequence), so every Dataset holds its own C-ordered float64 copy.
+        raw = np.asfortranarray(np.arange(24.0).reshape(8, 3))
+        for ds in (validate_dataset(raw), Dataset(points=raw), Dataset(points=raw.astype(np.float32))):
+            assert ds.points.dtype == np.float64 and ds.points.flags.c_contiguous
+            assert not ds.points.flags.writeable
+            assert np.array_equal(ds.points, raw)
+        ds = Dataset(points=raw)
+        raw[0, 0] = 99.0
+        assert ds.points[0, 0] == 0.0
+
     def test_rejects_ragged(self):
         with pytest.raises(NonRectangular):
             validate_dataset([[1.0, 2.0], [3.0]])
@@ -241,6 +253,12 @@ class TestWeightState:
         assert np.allclose(post.post_mean, [[2.0, 1.0], [2.0, 0.5]])
         marg = post.with_marginal([1.5, 1.75])
         assert marg.marginal_mean.tolist() == [1.5, 1.75]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_marginal_means_must_be_positive_and_finite(self, bad):
+        post = WeightState.random_prior([4.0, 1.0], [2.0, 1.0]).with_posterior([5.0, 2.0], [[2.5], [1.0]])
+        with pytest.raises(NonPositiveWeight):
+            post.with_marginal([1.5, bad])
 
     def test_averaged_means_of_f_ordered_rates_at_elision_size(self):
         # The selection engine records weights from F-ordered distance columns.

@@ -13,6 +13,7 @@ from wdmix import (
     FitConfig,
     GaussianComponent,
     MixtureModel,
+    MmlConfig,
     WeightState,
     contaminate_uniform,
     em_fixed,
@@ -22,6 +23,8 @@ from wdmix import (
     knn_kernel_weights,
     model_from_labels,
     pipeline_gamma_priors,
+    select_model,
+    validate_dataset,
 )
 
 
@@ -113,6 +116,41 @@ class TestMatchesSeparatePassOracle:
             last = em_fixed.loglik(data, report.final_model, w)
         assert report.objective_trace[0] == first
         assert report.objective_trace[-1] == last
+
+
+@lru_cache(maxsize=None)
+def _layout_points() -> np.ndarray:
+    # d = 8: NumPy sums the rows of an F-ordered (n, 8) matrix in sequence
+    # but a C-ordered one pairwise, so a layout leak changes the bits.
+    gen = np.random.default_rng(17)
+    centres = gen.normal(0.0, 6.0, size=(3, 8))
+    return centres[gen.integers(0, 3, size=1200)] + gen.normal(size=(1200, 8))
+
+
+class TestPointLayout:
+    """An F-ordered copy of the points gives the C-ordered run's bits."""
+
+    @pytest.mark.parametrize("shape", ["full", "diagonal"])
+    @pytest.mark.parametrize("regime", ["knn", "gamma"])
+    def test_fits_bit_identical(self, regime, shape):
+        points = _layout_points()
+        labels, centres = kmeans(points, 3, restarts=2, seed=4)
+        f_labels, f_centres = kmeans(np.asfortranarray(points), 3, restarts=2, seed=4)
+        assert np.array_equal(labels, f_labels) and centres.tobytes() == f_centres.tobytes()
+        initial = model_from_labels(points, labels, shape)
+        config = FitConfig(max_iter=10, rel_tol=0.0)
+        got, _ = _fit(regime, validate_dataset(np.asfortranarray(points)), initial, config)
+        want, _ = _fit(regime, validate_dataset(points), initial, config)
+        _assert_reports_identical(got, want)
+
+    def test_selection_bit_identical(self):
+        points = _layout_points()
+        config = MmlConfig(k_high=5, max_outer_iter=40)
+        got = select_model(np.asfortranarray(points), config, seed=2, restarts=2)
+        want = select_model(points, config, seed=2, restarts=2)
+        assert got.objective_trace == want.objective_trace
+        _assert_models_identical(got.final_model, want.final_model)
+        assert np.array_equal(got.final_responsibilities.matrix, want.final_responsibilities.matrix)
 
 
 # ---------------------------------------------------------------------------

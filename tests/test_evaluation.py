@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from wdmix import (
     WeightState,
@@ -17,6 +18,7 @@ from wdmix.errors import (
     SingleCluster,
     WdmixError,
 )
+from wdmix.evaluation import _average_ranks
 
 
 class TestDaviesBouldin:
@@ -135,6 +137,26 @@ class TestMicroF1:
             micro_f1(np.array([]), np.array([]))
 
 
+def _rank_cases():
+    gen = np.random.default_rng(3)
+    return {
+        "one": np.array([0.7]),
+        "all_equal": np.full(50, 2.5),
+        "rounded_ties": np.round(gen.normal(size=500), 1),
+        "few_values": gen.integers(0, 3, size=200).astype(float),
+        "large_ties": np.round(gen.gamma(2.0, size=12_000), 2),
+        "large_distinct": gen.normal(size=12_000),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_rank_cases()))
+def test_average_ranks_match_rankdata_bit_for_bit(case):
+    values = _rank_cases()[case]
+    got, want = _average_ranks(values), rankdata(values)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def _marginal_state(wbar):
     wbar = np.asarray(wbar, dtype=np.float64)
     n = wbar.shape[0]
@@ -169,6 +191,15 @@ class TestOutlierScoreReport:
         flags = np.array([False, True])
         report = outlier_score_report(_marginal_state(wbar), flags)
         assert report.auc == pytest.approx(0.5)
+
+    def test_auc_matches_rankdata_formula_with_tied_means(self):
+        gen = np.random.default_rng(9)
+        wbar = np.round(gen.gamma(2.0, size=3_000), 1) + 0.1
+        flags = gen.random(3_000) < 0.3
+        n_out, n_in = int(flags.sum()), int((~flags).sum())
+        ranks = rankdata(-wbar)
+        want = float((ranks[flags].sum() - n_out * (n_out + 1) / 2.0) / (n_out * n_in))
+        assert outlier_score_report(_marginal_state(wbar), flags).auc == want
 
     def test_all_inliers_leaves_outlier_side_absent(self):
         wbar = np.array([1.0, 2.0])

@@ -1,6 +1,9 @@
 """The package's public surface: exported names, the version string and imports."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,6 +65,37 @@ def test_no_unused_module_imports(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter on this package and parse its last line as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(wdmix.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+_LOADED = "[m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))]"
+
+
+def test_import_loads_no_scipy_stats_or_optimize():
+    # Every CLI command is a fresh process: scipy.stats alone doubled the
+    # cold import time, and only micro_f1 needs scipy.optimize.
+    loaded = _fresh_interpreter(
+        f"import json, sys; import wdmix, wdmix.cli; print(json.dumps({_LOADED}))"
+    )
+    assert loaded == []
+
+
+def test_micro_f1_loads_scipy_optimize_on_first_call():
+    loaded, f1 = _fresh_interpreter(
+        "import json, sys; import wdmix; "
+        "f1 = wdmix.micro_f1([0, 0, 3, 3, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1]); "
+        f"print(json.dumps([{_LOADED}, f1]))"
+    )
+    assert "scipy.optimize" in loaded
+    assert not any(m.startswith("scipy.stats") for m in loaded)
+    assert f1 == 12.0 / 14.0
 
 
 def _private(name: str) -> bool:
