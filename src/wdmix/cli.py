@@ -364,12 +364,15 @@ def _cmd_evaluate(args) -> int:
     unknown = set(metrics) - {"db", "f1", "outliers"}
     if unknown:
         raise WdmixError(f"unknown metrics {sorted(unknown)}")
-    weight_means = None
+    weights = None  # the report's weight means, validated once for every use
     if args.report:
         with open(args.report) as handle:
             report_payload = json.load(handle)
         if "weight_means" in report_payload:
-            weight_means = np.asarray(report_payload["weight_means"], dtype=np.float64)
+            ones = np.ones(dataset.n)
+            weights = WeightState(
+                WeightMode.RANDOM, prior_alpha=ones, prior_beta=ones, marginal_mean=report_payload["weight_means"]
+            )
 
     out: dict = {"schema_version": SCHEMA_VERSION}
     centers = np.vstack([comp.mean for comp in model.components])
@@ -386,11 +389,9 @@ def _cmd_evaluate(args) -> int:
             raise WdmixError("micro F1 requires a label column in the truth CSV")
         out["micro_f1"] = micro_f1(assignments, dataset.labels)
     if "outliers" in metrics:
-        if weight_means is None:
+        if weights is None:
             raise WdmixError("outlier scoring requires --report with weight means")
-        ones = np.ones(dataset.n)
-        state = WeightState(WeightMode.RANDOM, prior_alpha=ones, prior_beta=ones, marginal_mean=weight_means)
-        score = outlier_score_report(state, dataset.outlier_flag)
+        score = outlier_score_report(weights, dataset.outlier_flag)
         out["outliers"] = {
             "inlier_mean_weight": score.inlier_mean_weight,
             "outlier_mean_weight": score.outlier_mean_weight,
@@ -398,7 +399,9 @@ def _cmd_evaluate(args) -> int:
         }
     if args.plot:
         if dataset.d == 2:
-            write_scatter_svg(args.plot, dataset, assignments, model, weight_means)
+            write_scatter_svg(
+                args.plot, dataset, assignments, model, None if weights is None else weights.marginal_mean
+            )
         else:
             print(f"warning: skipping plot, data is {dataset.d}-D", file=sys.stderr)
     if args.out:

@@ -137,8 +137,8 @@ def floored_covariance(cov: np.ndarray, fallback_scale: float) -> np.ndarray:
     to the supplied data-level scale so the result stays positive-definite.
     """
     cov = np.asarray(cov, dtype=np.float64)
-    diag = np.diagonal(cov) if cov.ndim == 2 else cov
-    scale = float(np.sum(diag)) / diag.shape[0]
+    diag = cov.diagonal() if cov.ndim == 2 else cov
+    scale = float(diag.sum()) / diag.shape[0]
     if not scale > 0.0:
         scale = float(fallback_scale) if fallback_scale > 0.0 else 1.0
     ridge = COVARIANCE_FLOOR_REL * scale
@@ -181,17 +181,29 @@ def factor_covariance(cov: np.ndarray) -> tuple[np.ndarray, float]:
     and for non-positive variances.
     """
     if cov.ndim == 2:
-        scale = max(float(np.max(np.abs(cov))), 1.0)
-        if float(np.max(np.abs(cov - cov.T))) > _SYMMETRY_RTOL * scale:
+        scale = max(float(np.abs(cov).max()), 1.0)
+        if float(np.abs(cov - cov.T).max()) > _SYMMETRY_RTOL * scale:
             raise NonPositiveDefinite("covariance is not symmetric")
+    return _factor_symmetric(cov)
+
+
+def _factor_symmetric(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`factor_covariance` without the symmetry check, for fresh estimates.
+
+    The caller vouches for symmetry, as for a covariance estimated as a
+    weighted scatter ``(diff * w).T @ diff``.  Still raises
+    NonPositiveDefinite, never LinAlgError, for a non-positive-definite
+    matrix or non-positive variances.
+    """
+    if cov.ndim == 2:
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise NonPositiveDefinite("covariance is not positive-definite") from None
-        return chol, 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    if np.any(cov <= 0.0):
+        return chol, 2.0 * float(np.log(chol.diagonal()).sum())
+    if (cov <= 0.0).any():
         raise NonPositiveDefinite("diagonal variances must be positive")
-    return np.sqrt(cov), float(np.sum(np.log(cov)))
+    return np.sqrt(cov), float(np.log(cov).sum())
 
 
 @dataclass(frozen=True)

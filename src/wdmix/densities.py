@@ -47,8 +47,8 @@ def squared_distances(points: np.ndarray, mean: np.ndarray, factor: np.ndarray) 
     """
     diff = points - mean
     if factor.ndim == 1:
-        return np.sum(diff * diff / factor, axis=1)
-    z, info = dtrtrs(factor, diff.T, lower=1)
+        return (diff * diff / factor).sum(axis=1)
+    z, info = dtrtrs(factor, diff.T, lower=1, overwrite_b=1)
     if info != 0:
         raise NonPositiveDefinite(f"triangular solve failed (LAPACK info {info})")
     z *= z
@@ -270,7 +270,7 @@ def expected_log_terms(eta, log_pi, log_dets, wbar, maha) -> float:
     over the columns passed in.  ``wbar`` broadcasts against ``maha``: (n, 1)
     for fixed weights, (n, K) for posterior weight means.
     """
-    return float(np.sum(eta * (log_pi[None, :] - 0.5 * log_dets[None, :] - 0.5 * wbar * maha)))
+    return float((eta * (log_pi[None, :] - 0.5 * log_dets[None, :] - 0.5 * wbar * maha)).sum())
 
 
 def log_mixture_density(points: np.ndarray, model: MixtureModel, log_density_matrix: np.ndarray) -> np.ndarray:

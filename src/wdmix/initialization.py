@@ -110,8 +110,9 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
 
     Returns ``(labels, centers)`` of the restart with the lowest
     within-cluster sum of squares.  Deterministic for a given seed.  Raises
-    KTooLarge unless 1 <= k <= n and NonPositiveArgument unless
-    ``restarts`` >= 1.
+    KTooLarge unless 1 <= k <= n, NonPositiveArgument unless ``restarts``
+    >= 1, and EmptyCluster when the best labelling leaves a cluster empty
+    (as rounding can at extreme offsets), so the count never drops silently.
     """
     points = as_dataset(data).points
     n = points.shape[0]
@@ -126,6 +127,9 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
         labels, centers, inertia = _lloyd(aug, _plus_plus_seed(points, k, rng))
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
+    empty = np.flatnonzero(np.bincount(best[0], minlength=k) == 0)
+    if empty.size:
+        raise EmptyCluster(f"k-means left cluster {int(empty[0])} of {k} empty")
     return best[0], best[1]
 
 

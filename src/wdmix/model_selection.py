@@ -24,9 +24,9 @@ from .core import (
     Responsibilities,
     WeightMode,
     WeightState,
+    _factor_symmetric,
     as_dataset,
     data_scale,
-    factor_covariance,
     weighted_component,
 )
 from .densities import GammaWeights, _pairwise_sum, expected_log_terms, squared_distances
@@ -112,7 +112,7 @@ def message_length(data, model: MixtureModel, responsibilities: Responsibilities
 def _two_part_length(pis: np.ndarray, q_value: float, m: int, n: int) -> float:
     """Message length from the surviving proportions and the expected objective."""
     return (
-        0.5 * m * float(np.sum(np.log(pis)))
+        0.5 * m * float(np.log(pis).sum())
         - q_value
         + 0.5 * pis.size * (m + 1) * (1.0 + np.log(n / 12.0))
     )
@@ -124,8 +124,9 @@ class _SelectionEngine:
     Components are held as plain mean / covariance / log-determinant arrays.
     ``maha`` and ``log_dens`` cache each component's squared Mahalanobis
     distances and its log density without log pi, one column per component;
-    an update recomputes only the columns it changed.  Value objects are
-    built only by :meth:`freeze`.
+    an update recomputes only the columns it changed, through the
+    component's regime kernel in ``kernels``.  Value objects, and with them
+    the covariance validation, are built only by :meth:`freeze`.
 
     Responsibilities come from a shifted exponential cache
     ``E[:, j] = exp(log_dens[:, j] - shift)``, with one shift per row: the
@@ -144,7 +145,6 @@ class _SelectionEngine:
         self.n, self.d = X.shape
         self.shape = CovarianceShape(covariance_shape)
         self.random = config.weight_mode == WeightMode.RANDOM
-        self.carried = False
         # Weights and initial models are checked before the k-means restarts run.
         if weights is None:
             weights = default_weights(data, config.weight_mode, q, bandwidth)
@@ -153,8 +153,8 @@ class _SelectionEngine:
                 weights = tuple(weights)
             _, self.kernel = em_weighted._regime(data, weights)
             # Once carried, the assignment step uses the posterior shapes with
-            # per-component rates: column j of ``ez_b`` holds beta0 + Mah^2_j / 2
-            # as of the latest weight-posterior step.
+            # per-component rates beta0 + Mah^2_j / 2 as of the latest
+            # weight-posterior step: one with_rates kernel per component.
             self.carried_kernel = GammaWeights(self.kernel.post_a, self.kernel.beta, self.d)
         else:
             _, self.kernel = em_fixed._regime(data, weights)
@@ -185,7 +185,7 @@ class _SelectionEngine:
         self.log_dens = np.empty((self.n, self.k_total), order="F")
         self.E = np.zeros((self.n, self.k_total), order="F")  # exp(log_dens - shift)
         self.shift = None  # (n,) row shifts, set by the first _rebuild
-        self.ez_b = np.empty((self.n, self.k_total), order="F")  # carried rates, random weights only
+        self.kernels = [self.kernel] * self.k_total  # per-component; carried rates replace the prior
         self.dirty: set = set()  # log_dens columns to recompute
         self.refreshed: set = set()  # components moved since the rates were last carried
         for k, comp in enumerate(initial_model.components):
@@ -203,10 +203,7 @@ class _SelectionEngine:
 
     def _column(self, j: int) -> np.ndarray:
         """(n, 1) log density of every point under component j, without log pi."""
-        kernel = self.kernel
-        if self.carried:
-            kernel = self.carried_kernel.with_rates(self.ez_b[:, j : j + 1])
-        return kernel.log_density(self.maha[:, j : j + 1], self.log_dets[j])
+        return self.kernels[j].log_density(self.maha[:, j : j + 1], self.log_dets[j])
 
     def _carry_rates(self) -> None:
         """Weight-posterior step: rates of every moved component feed the next assignment.
@@ -215,9 +212,9 @@ class _SelectionEngine:
         switches the columns from the prior to the carried regime, rewrites
         every active column.
         """
-        self.carried = True
         for j in self.refreshed.intersection(self.active):
-            self.ez_b[:, j : j + 1] = self.kernel.posterior_rates(self.maha[:, j : j + 1])
+            rates = self.kernel.posterior_rates(self.maha[:, j : j + 1])
+            self.kernels[j] = self.carried_kernel.with_rates(rates)
             self.dirty.add(j)
         self.refreshed.clear()
 
@@ -275,7 +272,7 @@ class _SelectionEngine:
                 mu, cov = weighted_component(
                     self.X, omega, omega.sum(), sums[pos], self.shape, self.global_scale
                 )
-                chol, log_det = factor_covariance(cov)
+                chol, log_det = _factor_symmetric(cov)
                 self._store(k, mu, cov, cov if cov.ndim == 1 else chol, log_det)
                 self._renormalize()
             else:

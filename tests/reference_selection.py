@@ -10,6 +10,10 @@ reproduce this oracle bit for bit.  The row normaliser, the covariance ridge
 and the triangular solve are written out here in their plain NumPy/SciPy
 form instead of being imported, so the package's leaner versions of them
 are checked too.
+
+:class:`MatrixRateEngine` is the package's engine with its carried gamma
+rates stored as one (n, K) matrix, the form that its per-component carried
+kernels replace; the two are compared bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from wdmix import (
 )
 from wdmix.core import COVARIANCE_FLOOR_REL
 from wdmix.errors import AllAnnihilated
+from wdmix.model_selection import _SelectionEngine
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -69,6 +74,34 @@ def _normalize(log_weighted):
     eta = np.exp(log_weighted - norm[:, None])
     eta /= eta.sum(axis=1, keepdims=True)
     return eta
+
+
+class MatrixRateEngine(_SelectionEngine):
+    """The package's engine with its carried rates held as one (n, K) matrix.
+
+    Column j of ``ez_b`` holds beta0 + Mah^2_j / 2 as of the latest
+    weight-posterior step, and every column recomputation builds its
+    carried kernel from that column afresh.  The package keeps one carried
+    kernel per component instead; both must give the same bits.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.carried = False
+        self.ez_b = np.empty((self.n, self.k_total), order="F")
+
+    def _column(self, j):
+        kernel = self.kernel
+        if self.carried:
+            kernel = self.carried_kernel.with_rates(self.ez_b[:, j : j + 1])
+        return kernel.log_density(self.maha[:, j : j + 1], self.log_dets[j])
+
+    def _carry_rates(self):
+        self.carried = True
+        for j in self.refreshed.intersection(self.active):
+            self.ez_b[:, j : j + 1] = self.kernel.posterior_rates(self.maha[:, j : j + 1])
+            self.dirty.add(j)
+        self.refreshed.clear()
 
 
 class _FullMatrixEngine:

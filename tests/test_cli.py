@@ -483,6 +483,40 @@ class TestErrorHandling:
         assert "error: marginal weight means must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda means: means[:-1], "marginal_mean must have one entry per point"),
+            (lambda means: means[:3] + [float("nan")] + means[4:], "must be positive and finite"),
+        ],
+        ids=["short", "nan"],
+    )
+    def test_bad_weight_means_on_plot_path_exit_one(self, edit, message, fitted, small_csv, tmp_path, capsys):
+        # The plot reads the report's weight means as the outlier score does,
+        # through one validated WeightState.
+        payload = json.loads(Path(f"{fitted}.report.json").read_text())
+        payload["weight_means"] = edit(payload["weight_means"])
+        report = tmp_path / "bad.report.json"
+        report.write_text(json.dumps(payload))
+        svg = tmp_path / "s.svg"
+        code = run_cli(
+            "evaluate", "--model", f"{fitted}.model.json", "--truth", small_csv,
+            "--metrics", "db", "--plot", svg, "--report", report, "--out", tmp_path / "m.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not svg.exists()
+
+    def test_k_means_short_of_k_high_exits_one(self, tmp_path, capsys):
+        points = np.random.default_rng(0).normal(size=(200, 2)) + 1e8
+        data = tmp_path / "far.csv"
+        write_dataset_csv(data, wdmix.validate_dataset(points))
+        code = run_cli("select", "--input", data, "--k-high", 8, "--seed", 0, "--out", tmp_path / "sel")
+        assert code == 1
+        assert "error: k-means left cluster" in capsys.readouterr().err
+        assert not (tmp_path / "sel.model.json").exists()
+
     def test_model_file_not_an_object_exits_one(self, small_csv, tmp_path, capsys):
         bad = tmp_path / "list.model.json"
         bad.write_text("[1, 2]\n")

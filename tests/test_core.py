@@ -17,7 +17,7 @@ from wdmix import (
     model_from_parameters,
     validate_dataset,
 )
-from wdmix.core import as_dataset, floored_covariance
+from wdmix.core import _factor_symmetric, as_dataset, factor_covariance, floored_covariance
 from wdmix.errors import (
     DimensionMismatch,
     LengthMismatch,
@@ -143,6 +143,53 @@ class TestGaussianComponent:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             GaussianComponent(np.zeros(3), np.eye(2))
+
+
+class TestFactorisation:
+    """``factor_covariance`` validates; ``_factor_symmetric`` is its arithmetic, used inside the sweep."""
+
+    @staticmethod
+    def _spd(d, seed):
+        g = np.random.default_rng(seed).normal(size=(d, d + 2))
+        return g @ g.T / (d + 2) + 0.1 * np.eye(d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_core_equals_validating_path_bit_for_bit(self, d, seed):
+        full = self._spd(d, seed)
+        full = (full + full.T) / 2.0  # exactly symmetric
+        for cov in (full, full.diagonal().copy()):
+            chol, log_det = _factor_symmetric(cov)
+            want_chol, want_log_det = factor_covariance(cov)
+            assert chol.tobytes() == want_chol.tobytes()
+            assert log_det == want_log_det
+        # The same bits as the written-out wrapper form of the log-determinant.
+        chol, log_det = _factor_symmetric(full)
+        assert chol.tobytes() == np.linalg.cholesky(full).tobytes()
+        assert log_det == 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+        assert _factor_symmetric(full.diagonal().copy())[1] == float(np.sum(np.log(full.diagonal())))
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            -np.eye(3),
+            np.zeros((2, 2)),
+            np.array([-1.0, 1.0]),
+            np.array([0.0, 2.0]),
+        ],
+        ids=["indefinite", "negative_definite", "zero", "negative_variance", "zero_variance"],
+    )
+    def test_core_raises_domain_error(self, cov):
+        with pytest.raises(NonPositiveDefinite):
+            _factor_symmetric(cov)
+
+    def test_symmetry_is_checked_only_by_the_validating_path(self):
+        cov = np.array([[1.0, 0.5], [0.2, 1.0]])
+        with pytest.raises(NonPositiveDefinite, match="symmetric"):
+            factor_covariance(cov)
+        chol, _ = _factor_symmetric(cov)
+        assert np.array_equal(chol, np.linalg.cholesky(cov))
 
 
 

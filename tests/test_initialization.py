@@ -82,6 +82,13 @@ class TestKmeans:
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
 
+    def test_empty_cluster_raises(self):
+        # Far from the origin, rounding in the distance expansion leaves the
+        # best labelling one cluster short; it must not pass as k - 1 clusters.
+        points = np.random.default_rng(0).normal(size=(200, 2)) + 1e8
+        with pytest.raises(EmptyCluster, match="k-means left cluster 7 of 8 empty"):
+            kmeans(points, 8, seed=0)
+
 
 def _blobs(n: int, d: int, k: int, seed: int) -> np.ndarray:
     """k Gaussian blobs plus 20% uniform points: Lloyd needs several iterations."""

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reference_selection import reference_select_model
+from reference_selection import MatrixRateEngine, reference_select_model
 from wdmix import (
     CovarianceShape,
     GaussianComponent,
@@ -24,12 +24,15 @@ from wdmix import (
     truncated_proportions,
     validate_dataset,
 )
+from wdmix import model_selection
+from wdmix.core import factor_covariance
 from wdmix.densities import normalize_log_responsibilities
 from wdmix.model_selection import _SHIFT_MARGIN, _SelectionEngine
 from wdmix.errors import (
     AllAnnihilated,
     DegenerateRow,
     DimensionMismatch,
+    EmptyCluster,
     EmptyInput,
     LengthMismatch,
     NonPositiveShape,
@@ -263,6 +266,13 @@ class TestSelectModel:
             assert 0 <= event.component < 10
             assert 0.0 <= event.proportion < 1.0
 
+    def test_k_means_short_of_k_high_raises(self):
+        # k-means leaves a cluster empty here; selection used to go on from
+        # seven components and return K=1.
+        points = np.random.default_rng(0).normal(size=(200, 2)) + 1e8
+        with pytest.raises(EmptyCluster, match="k-means left cluster"):
+            select_model(points, MmlConfig(k_high=8), seed=0)
+
     def test_diagonal_covariance_mode(self, blobs_2d):
         config = MmlConfig(k_high=6)
         report = select_model(
@@ -420,6 +430,64 @@ class TestMatchesFullMatrixEngine:
         want = reference_select_model(data, config, seed=1, restarts=1)
         assert not got.converged and got.iterations == 5 and got.kplus_history[0] == 15
         self._assert_matches(got, want)
+
+
+def _assert_same_bits(got, want):
+    """Two FitReports hold the same floats, bit for bit, and the same discrete outcomes."""
+
+    def same(a, b):
+        assert np.asarray(a).dtype == np.asarray(b).dtype
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    for name in ("objective_trace", "checkpoint_lengths", "best_length", "kplus_history"):
+        same(getattr(got, name), getattr(want, name))
+    assert got.annihilation_log == want.annihilation_log
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    gm, wm = got.final_model, want.final_model
+    same(gm.proportions, wm.proportions)
+    for a, b in zip(gm.components, wm.components, strict=True):
+        for name in ("mean", "covariance", "chol", "log_det"):
+            same(getattr(a, name), getattr(b, name))
+    same(got.final_responsibilities.matrix, want.final_responsibilities.matrix)
+    for name in ("fixed_w", "prior_alpha", "prior_beta", "post_a", "post_b", "marginal_mean"):
+        a, b = getattr(got.final_weights, name), getattr(want.final_weights, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            same(a, b)
+
+
+class TestSameBitsAsMatrixRates:
+    """Per-component carried-rate kernels and the unchecked factorisation change no bit.
+
+    The reference run swaps in :class:`reference_selection.MatrixRateEngine`,
+    which keeps the carried rates in one (n, K) matrix and rebuilds a kernel
+    at every column recomputation, and factors every M-step covariance
+    through the validating :func:`factor_covariance`.
+    """
+
+    @pytest.mark.parametrize("shape", ["full", "diagonal"])
+    @pytest.mark.parametrize("mode", ["random", "fixed"])
+    def test_large_selection(self, monkeypatch, mode, shape):
+        # n * K+ = 36,000: past NumPy's 256 KiB temporary-elision threshold.
+        data = generate_sim("easy", 2400, seed=3)
+        config = MmlConfig(k_high=15, weight_mode=mode, max_outer_iter=8)
+        got = select_model(data, config, covariance_shape=shape, seed=1, restarts=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_selection, "_SelectionEngine", MatrixRateEngine)
+            patch.setattr(model_selection, "_factor_symmetric", factor_covariance)
+            want = select_model(data, config, covariance_shape=shape, seed=1, restarts=1)
+        assert got.kplus_history[0] == 15 and got.iterations == 8
+        _assert_same_bits(got, want)
+
+    def test_converged_selection_with_annihilations(self, monkeypatch, small_contaminated):
+        config = MmlConfig(k_high=8)
+        got = select_model(small_contaminated, config, seed=2, restarts=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_selection, "_SelectionEngine", MatrixRateEngine)
+            patch.setattr(model_selection, "_factor_symmetric", factor_covariance)
+            want = select_model(small_contaminated, config, seed=2, restarts=3)
+        assert got.converged and got.annihilation_log
+        _assert_same_bits(got, want)
 
 
 def _cache_engine():

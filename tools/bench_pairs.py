@@ -19,6 +19,14 @@ per workload and gated metric (the ``end_to_end`` list of the head's
 and how many pairs the head won (ties win for neither side).  It also
 records the seeds, both sides' commit and ``src/`` tree SHAs, ``nproc``
 and the BLAS thread variables.
+
+Each metric also carries the verdict of the paired-runs rule: the median
+gap (head minus base, and relative to the base median), the base's
+quartile spread, ``gain_rule_met`` (the head won at least nine tenths of
+the pairs and its median is better than the base's by more than that
+spread) and ``worse_than_bound`` (the head's median is worse than the
+base's by more than the metric's relative bound).  One summary line per
+workload is printed at the end.
 """
 
 from __future__ import annotations
@@ -92,6 +100,31 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(base: dict, head: dict, wins: int, pairs: int, better: str, bound: float) -> dict:
+    """The paired-runs rule applied to two :func:`summary` results."""
+    gap = head["median"] - base["median"]
+    improvement = -gap if better == "lower" else gap
+    spread = base["q3"] - base["q1"]
+    return {
+        "median_gap": gap,
+        "median_gap_rel": gap / base["median"] if base["median"] else None,
+        "base_spread": spread,
+        "gain_rule_met": 10 * wins >= 9 * pairs and improvement > spread,
+        "worse_than_bound": -improvement > bound * abs(base["median"]),
+    }
+
+
+def summary_line(workload: str, metrics: dict) -> str:
+    """One line per workload: each metric's relative median gap, wins and verdict flags."""
+    parts = []
+    for name, m in metrics.items():
+        rel = m["median_gap_rel"]
+        flags = ("GAIN " if m["gain_rule_met"] else "") + ("WORSE-THAN-BOUND " if m["worse_than_bound"] else "")
+        gap = "n/a" if rel is None else f"{100.0 * rel:+.1f}%"
+        parts.append(f"{name} {gap} wins {m['head_wins']} {flags}".rstrip())
+    return f"{workload}: " + "; ".join(parts)
+
+
 def run_pairs(checkouts: dict, pairs: int, seeds: list[int]) -> dict:
     spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
     gated = {m["name"]: m for m in spec["end_to_end"]}
@@ -111,13 +144,15 @@ def run_pairs(checkouts: dict, pairs: int, seeds: list[int]) -> dict:
             values = {name: [r["metrics"][metric]["value"] for r in runs[name]] for name in runs}
             sign = 1.0 if meta["better"] == "lower" else -1.0
             wins = sum(sign * (h - b) < 0 for b, h in zip(values["base"], values["head"]))
+            base, head = summary(values["base"]), summary(values["head"])
             metrics[metric] = {
                 "unit": meta["unit"],
                 "better": meta["better"],
                 "bound": meta["bound"],
-                "base": summary(values["base"]),
-                "head": summary(values["head"]),
+                "base": base,
+                "head": head,
                 "head_wins": wins,
+                **verdict(base, head, wins, pairs, meta["better"], meta["bound"]),
             }
         results[workload] = {
             "metrics": metrics,
@@ -152,6 +187,8 @@ def main(argv=None) -> int:
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
+    for workload, result in results.items():
+        print(summary_line(workload, result["metrics"]))
     print(f"wrote {out}")
     return 0
 
