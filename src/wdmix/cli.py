@@ -166,6 +166,8 @@ def read_assignments_csv(path) -> np.ndarray:
                 raise NonRectangular(f"{path} line {lineno}: expected index,cluster") from None
             if index != len(clusters):
                 raise NonRectangular(f"{path} line {lineno}: index {index}, expected {len(clusters)}")
+            if not -(2**63) <= cluster < 2**63:
+                raise NonRectangular(f"{path} line {lineno}: cluster id {cluster} does not fit in 64 bits")
             clusters.append(cluster)
         return np.array(clusters, dtype=np.int64)
 
@@ -368,11 +370,18 @@ def _cmd_evaluate(args) -> int:
     if args.report:
         with open(args.report) as handle:
             report_payload = json.load(handle)
+        if not isinstance(report_payload, dict):
+            raise WdmixError(f"{args.report}: not a report object")
         if "weight_means" in report_payload:
+            means = report_payload["weight_means"]
+            try:
+                if not isinstance(means, list) or any(type(v) not in (int, float) for v in means):
+                    raise TypeError
+                means = [float(v) for v in means]
+            except (TypeError, OverflowError):
+                raise WdmixError(f"{args.report}: weight_means must be a flat list of numbers") from None
             ones = np.ones(dataset.n)
-            weights = WeightState(
-                WeightMode.RANDOM, prior_alpha=ones, prior_beta=ones, marginal_mean=report_payload["weight_means"]
-            )
+            weights = WeightState(WeightMode.RANDOM, prior_alpha=ones, prior_beta=ones, marginal_mean=means)
 
     out: dict = {"schema_version": SCHEMA_VERSION}
     centers = np.vstack([comp.mean for comp in model.components])
@@ -416,6 +425,17 @@ def _cmd_evaluate(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative integer, as ``np.random.default_rng`` requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wdmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -425,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=600, help="number of inliers")
     gen.add_argument("--outlier-fraction", type=float, default=0.0)
     gen.add_argument("--margin", type=float, default=0.1)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
 
@@ -435,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sigma", type=float, default=100.0, help="kernel bandwidth")
     run.add_argument("--covariance", choices=("full", "diagonal"), default="full")
     run.add_argument("--restarts", type=int, default=10)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--out", required=True, help="output path prefix")
 
     fit = sub.add_parser("fit", parents=[run], help="fit a mixture at a fixed component count")

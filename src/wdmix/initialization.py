@@ -34,6 +34,9 @@ _WEIGHT_FLOOR = 1e-12
 PRIOR_WEIGHT_FLOOR = 0.25
 _LLOYD_MAX_ITER = 100  # Lloyd's iterations per k-means restart
 _LLOYD_TOL = 1e-9  # largest center move that counts as converged
+# Above this many points the k-means restarts run on a sample of this size and
+# only the best restart's centers go through Lloyd on all points.
+_KMEANS_SAMPLE = 8_192
 
 
 def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,10 +112,15 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
     """Best-of-``restarts`` Lloyd's algorithm with k-means++ seeding.
 
     Returns ``(labels, centers)`` of the restart with the lowest
-    within-cluster sum of squares.  Deterministic for a given seed.  Raises
-    KTooLarge unless 1 <= k <= n, NonPositiveArgument unless ``restarts``
-    >= 1, and EmptyCluster when the best labelling leaves a cluster empty
-    (as rounding can at extreme offsets), so the count never drops silently.
+    within-cluster sum of squares.  Deterministic for a given seed.  Above
+    ``_KMEANS_SAMPLE`` (8,192) points, the generator first draws that many
+    points without replacement, kept in point order; every restart seeds and
+    runs Lloyd on that sample, and the best restart's centers then go
+    through Lloyd once more on all points (Bradley & Fayyad 1998).  At or
+    below that size every restart runs on all points.  Raises KTooLarge
+    unless 1 <= k <= n, NonPositiveArgument unless ``restarts`` >= 1, and
+    EmptyCluster when the returned labelling leaves a cluster empty (as
+    rounding can at extreme offsets), so the count never drops silently.
     """
     points = as_dataset(data).points
     n = points.shape[0]
@@ -122,11 +130,15 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
         raise NonPositiveArgument(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
     aug = _augmented(points)
+    subset = slice(None) if n <= _KMEANS_SAMPLE else np.sort(rng.choice(n, size=_KMEANS_SAMPLE, replace=False))
+    sample, sample_aug = points[subset], aug[subset]
     best = None
     for _ in range(restarts):
-        labels, centers, inertia = _lloyd(aug, _plus_plus_seed(points, k, rng))
+        labels, centers, inertia = _lloyd(sample_aug, _plus_plus_seed(sample, k, rng))
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
+    if n > _KMEANS_SAMPLE:
+        best = _lloyd(aug, best[1])
     empty = np.flatnonzero(np.bincount(best[0], minlength=k) == 0)
     if empty.size:
         raise EmptyCluster(f"k-means left cluster {int(empty[0])} of {k} empty")

@@ -6,9 +6,11 @@ and averages the masked rows with ``mean``, and the distances are
 ``||x||^2 - 2 x.c + ||c||^2`` written as one expression.  The package takes
 the center sums from grouped ``bincount`` calls and each distance from one
 matrix product over the points augmented with their squared norms; for
-d >= 2 it must reproduce this oracle bit for bit.  The seeding, iteration
-limit and tolerance are written out here instead of being imported, so a
-change to the package's is caught too.
+d >= 2 it must reproduce this oracle bit for bit.  Above ``SAMPLE`` points
+the restarts run on a sorted sample drawn without replacement, and the best
+restart's centers then go through one Lloyd run on all points.  The seeding,
+iteration limit, tolerance and sample size are written out here instead of
+being imported, so a change to the package's is caught too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from wdmix.core import as_dataset
 
 MAX_ITER = 100
 TOL = 1e-9
+SAMPLE = 8192
 
 
 def reference_seed(points, k, rng):
@@ -72,13 +75,22 @@ def reference_lloyd(points: np.ndarray, centers: np.ndarray):
 def reference_kmeans(data, k: int, restarts: int = 10, seed=None):
     """Best-of-``restarts`` :func:`reference_lloyd` from :func:`reference_seed`.
 
-    Returns ``(labels, centers, inertia)`` of the best restart.
+    Above ``SAMPLE`` points the restarts run on ``SAMPLE`` points drawn
+    first, without replacement and in point order, and the best restart's
+    centers are refined by one :func:`reference_lloyd` on all points.
+    Returns ``(labels, centers, inertia)`` of the result.
     """
     points = as_dataset(data).points
     rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    sample = points
+    if n > SAMPLE:
+        sample = points[np.sort(rng.choice(n, size=SAMPLE, replace=False))]
     best = None
     for _ in range(restarts):
-        result = reference_lloyd(points, reference_seed(points, k, rng))
+        result = reference_lloyd(sample, reference_seed(sample, k, rng))
         if best is None or result[2] < best[2]:
             best = result
+    if n > SAMPLE:
+        best = reference_lloyd(points, best[1])
     return best

@@ -1,14 +1,18 @@
 """Command-line interface: artifacts, formats, error handling."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import wdmix
 from wdmix import MixtureModel, davies_bouldin, micro_f1, model_from_parameters
@@ -551,6 +555,29 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_cluster_id_beyond_int64_exits_one(self, fitted, small_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.assignments.csv"
+        bad.write_text("index,cluster\n0,99999999999999999999\n")
+        code = run_cli(
+            "evaluate", "--model", f"{fitted}.model.json", "--assignments", bad, "--truth", small_csv,
+        )
+        assert code == 1
+        assert f"error: {bad} line 2: cluster id 99999999999999999999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "select"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_is_a_usage_error(self, command, seed, small_csv, tmp_path, capsys):
+        flags = {
+            "generate": ("--profile", "easy"),
+            "fit": ("--input", small_csv, "--k", 2),
+            "select": ("--input", small_csv, "--k-high", 3),
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, *flags, "--seed", seed, "--out", tmp_path / "x")
+        assert excinfo.value.code == 2
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_console_script_entry_point(self, tmp_path):
         # End-to-end subprocess runs through the [project.scripts] target,
         # called the way an installed wrapper calls it; no install needed.
@@ -580,3 +607,118 @@ class TestErrorHandling:
                            "easy", "--n", "20", "--seed", "0", "--out", out)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main with malformed files and flag values
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# Where a JSON value replaces part of a valid report.
+_REPORT_EDITS = st.tuples(st.sampled_from(["report", "weight_means", "one_entry", "every_entry"]), _JSON)
+_ASSIGNMENT_LINES = st.one_of(
+    st.text(alphabet="0123456789,-+. e_x\t", max_size=24),
+    st.builds("{},{}".format, st.integers(-3, 90), st.integers()),
+)
+_SEEDS = st.one_of(
+    st.integers(-(10**25), 10**25).map(str),
+    st.sampled_from(["-0", "0.5", "1e9", "nan", "inf", "", "x"]),
+)
+_FUZZ = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def tiny_fit(tmp_path_factory):
+    """An 81-point 2-D dataset and its wd fit at k = 3: (dataset path, run prefix)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data, prefix = root / "tiny.csv", root / "run"
+    assert run_cli("generate", "--profile", "easy", "--n", 62, "--outlier-fraction", "0.3",
+                   "--seed", 0, "--out", data) == 0
+    assert run_cli("fit", "--input", data, "--k", 3, "--seed", 0, "--out", prefix) == 0
+    return data, prefix
+
+
+def _outcome(argv, usage_error_allowed=False):
+    """Run main on ``argv``; assert exit 0, exit 1 with one error: line, or (if allowed) argparse's exit 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            assert usage_error_allowed and exc.code == 2, err.getvalue()
+            return 2
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert (code, len(errors)) in {(0, 0), (1, 1)}, err.getvalue()
+    return code
+
+
+class TestFuzzMain:
+    """main never lets an exception out, whatever the report, assignments or seed."""
+
+    @_FUZZ
+    @given(edit=_REPORT_EDITS, metrics=st.sampled_from(["outliers", "db", "db,outliers"]), plot=st.booleans())
+    @example(edit=("report", None), metrics="outliers", plot=False)
+    @example(edit=("report", 3), metrics="outliers", plot=False)
+    @example(edit=("report", True), metrics="outliers", plot=False)
+    @example(edit=("report", "weights"), metrics="outliers", plot=False)
+    @example(edit=("weight_means", "abc"), metrics="outliers", plot=False)
+    @example(edit=("every_entry", "x"), metrics="outliers", plot=False)
+    @example(edit=("weight_means", {"a": 1}), metrics="db", plot=True)
+    @example(edit=("weight_means", [[1.0, 2.0], [3.0]]), metrics="outliers", plot=False)
+    @example(edit=("one_entry", 10**400), metrics="outliers", plot=False)  # beyond float64
+    def test_report(self, tiny_fit, edit, metrics, plot):
+        data, prefix = tiny_fit
+        payload = json.loads(Path(f"{prefix}.report.json").read_text())
+        where, value = edit
+        if where == "report":
+            payload = value
+        elif where == "weight_means":
+            payload["weight_means"] = value
+        elif where == "one_entry":
+            payload["weight_means"][len(str(value)) % len(payload["weight_means"])] = value
+        else:
+            payload["weight_means"] = [value] * len(payload["weight_means"])
+        with tempfile.TemporaryDirectory() as tmp:
+            report = Path(tmp) / "r.json"
+            report.write_text(json.dumps(payload))
+            _outcome(["evaluate", "--model", f"{prefix}.model.json", "--truth", data, "--metrics", metrics,
+                      "--report", report, *(["--plot", Path(tmp) / "s.svg"] if plot else [])])
+
+    @_FUZZ
+    @given(edits=st.lists(st.tuples(st.integers(0, 200), st.none() | _ASSIGNMENT_LINES), min_size=1, max_size=4))
+    @example(edits=[(1, "0,99999999999999999999")])  # line 0 is the header
+    def test_assignments(self, tiny_fit, edits):
+        data, prefix = tiny_fit
+        lines = Path(f"{prefix}.assignments.csv").read_text().splitlines()
+        for position, text in edits:
+            position %= len(lines) + 1
+            if text is None:
+                del lines[min(position, len(lines) - 1)]
+            elif position == len(lines):
+                lines.append(text)
+            else:
+                lines[position] = text
+        with tempfile.TemporaryDirectory() as tmp:
+            assignments = Path(tmp) / "a.csv"
+            assignments.write_text("\n".join(lines) + "\n")
+            _outcome(["evaluate", "--model", f"{prefix}.model.json", "--truth", data,
+                      "--assignments", assignments, "--metrics", "db,f1"])
+
+    @_FUZZ
+    @given(command=st.sampled_from(["generate", "fit", "select"]), seed=_SEEDS)
+    @example(command="generate", seed="-1")
+    @example(command="fit", seed="-1")
+    @example(command="select", seed="-1")
+    def test_seed(self, tiny_fit, command, seed):
+        data, _ = tiny_fit
+        flags = {
+            "generate": ("--profile", "easy", "--n", 20),
+            "fit": ("--input", data, "--k", 2, "--restarts", 1),
+            "select": ("--input", data, "--k-high", 2, "--restarts", 1),
+        }[command]
+        with tempfile.TemporaryDirectory() as tmp:
+            code = _outcome([command, *flags, "--seed", seed, "--out", Path(tmp) / "x"], usage_error_allowed=True)
+        assert code == (0 if seed.lstrip("-").isdigit() and int(seed) >= 0 else 2)

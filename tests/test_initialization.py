@@ -14,6 +14,7 @@ from wdmix import (
     pipeline_gamma_priors,
     validate_dataset,
 )
+from wdmix import initialization
 from wdmix.initialization import (
     PRIOR_WEIGHT_FLOOR,
     _augmented,
@@ -82,6 +83,32 @@ class TestKmeans:
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
 
+    def test_recovers_separated_blobs_above_the_sample_size(self):
+        gen = np.random.default_rng(12)
+        truth = gen.integers(6, size=12_000)
+        points = 10.0 * np.eye(8)[:6][truth] + gen.normal(size=(12_000, 8))
+        labels, _ = kmeans(points, 6, seed=3)
+        # One-to-one up to relabelling: every (truth, label) pair that occurs
+        # is one of exactly six.
+        pairs = set(zip(truth.tolist(), labels.tolist()))
+        assert len(pairs) == 6
+        assert {t for t, _ in pairs} == {l for _, l in pairs} == set(range(6))
+
+    @pytest.mark.parametrize("n, sampled", [(8_192, False), (8_193, True)])
+    def test_restarts_run_on_a_sample_only_above_8192_points(self, monkeypatch, n, sampled):
+        rows = []
+
+        def spy(aug, centers):
+            rows.append(aug.shape[0])
+            return _lloyd(aug, centers)
+
+        monkeypatch.setattr(initialization, "_lloyd", spy)
+        points = _blobs(n, 2, 3, seed=4)
+        labels, centers = kmeans(points, 3, restarts=2, seed=1)
+        assert rows == ([8_192, 8_192, n] if sampled else [n, n])
+        want_labels, want_centers, _ = reference_kmeans(points, 3, restarts=2, seed=1)
+        _assert_same_bits((labels, centers), (want_labels, want_centers))
+
     def test_empty_cluster_raises(self):
         # Far from the origin, rounding in the distance expansion leaves the
         # best labelling one cluster short; it must not pass as k - 1 clusters.
@@ -118,8 +145,9 @@ class TestMatchesMaskedMeanLloyd:
 
     @pytest.mark.parametrize(
         "d, n, k",
-        [(2, 900, 15), (8, 600, 6), (8, 5_000, 8), (16, 2_000, 6)],  # the third at n * k >= 32,768
-        ids=["d2", "d8", "d8-elision-size", "d16"],
+        # The third at n * k >= 32,768; the last above the 8,192-point sample size.
+        [(2, 900, 15), (8, 600, 6), (8, 5_000, 8), (16, 2_000, 6), (8, 9_000, 6)],
+        ids=["d2", "d8", "d8-elision-size", "d16", "d8-sampled"],
     )
     def test_kmeans_bit_identical(self, d, n, k):
         points = _blobs(n, d, k, seed=d)
