@@ -105,6 +105,8 @@ def read_dataset_csv(path) -> Dataset:
                     flags.append(bool(int(parts[outlier_idx])))
             except (IndexError, ValueError):
                 raise NonRectangular(f"{path} line {lineno}: too few fields or a non-numeric value") from None
+            if labels and not -(2**63) <= labels[-1] < 2**63:
+                raise NonRectangular(f"{path} line {lineno}: label {labels[-1]} does not fit in 64 bits")
     return validate_dataset(
         np.asarray(points),
         labels=np.asarray(labels) if labels else None,
@@ -279,10 +281,8 @@ def write_scatter_svg(path, dataset: Dataset, assignments, model: MixtureModel, 
 
 def _cmd_generate(args) -> int:
     dataset = generate_sim(args.profile, n_inliers=args.n, seed=args.seed)
-    if args.outlier_fraction > 0.0:
-        dataset = contaminate_uniform(
-            dataset, args.outlier_fraction, margin=args.margin, seed=args.seed
-        )
+    # At fraction 0 this validates both flags and returns the same dataset.
+    dataset = contaminate_uniform(dataset, args.outlier_fraction, margin=args.margin, seed=args.seed)
     write_dataset_csv(args.out, dataset)
     return 0
 

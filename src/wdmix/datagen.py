@@ -74,12 +74,15 @@ def contaminate_uniform(dataset: Dataset, outlier_fraction: float, margin: float
     ``outlier_fraction`` counts relative to the number of inliers (0.5 adds
     half as many outliers as there are inliers).  The box is the inlier
     bounding box grown by ``margin`` times its extent on every side.
-    Outliers get label -1 and a raised outlier flag.
+    Outliers get label -1 and a raised outlier flag.  Raises
+    NonPositiveArgument unless both arguments are finite and >= 0, when the
+    outlier count would not fit in an array, or when the grown box is not
+    finite.
     """
-    if outlier_fraction < 0.0:
-        raise NonPositiveArgument("outlier_fraction must be >= 0")
-    if margin < 0.0:
-        raise NonPositiveArgument("margin must be >= 0")
+    if not 0.0 <= outlier_fraction < np.inf:
+        raise NonPositiveArgument(f"outlier_fraction must be finite and >= 0, got {outlier_fraction}")
+    if not 0.0 <= margin < np.inf:
+        raise NonPositiveArgument(f"margin must be finite and >= 0, got {margin}")
     if dataset.modality is not None:
         raise DimensionMismatch("modality-tagged datasets cannot be contaminated")
     if dataset.outlier_flag is not None:
@@ -87,7 +90,10 @@ def contaminate_uniform(dataset: Dataset, outlier_fraction: float, margin: float
     else:
         inlier_mask = np.ones(dataset.n, dtype=bool)
     inliers = dataset.points[inlier_mask]
-    n_outliers = int(round(outlier_fraction * inliers.shape[0]))
+    expected = outlier_fraction * inliers.shape[0]
+    if not expected * dataset.d <= np.iinfo(np.intp).max // 8:
+        raise NonPositiveArgument(f"outlier_fraction {outlier_fraction} asks for more outliers than an array holds")
+    n_outliers = int(round(expected))
     if n_outliers == 0:
         flags = dataset.outlier_flag
         if flags is None:
@@ -95,9 +101,13 @@ def contaminate_uniform(dataset: Dataset, outlier_fraction: float, margin: float
         return validate_dataset(dataset.points, labels=dataset.labels, outlier_flag=flags)
     lo = inliers.min(axis=0)
     hi = inliers.max(axis=0)
-    pad = margin * (hi - lo)
+    with np.errstate(over="ignore"):
+        pad = margin * (hi - lo)
+        low, high = lo - pad, hi + pad
+    if not (np.all(np.isfinite(low)) and np.all(np.isfinite(high))):
+        raise NonPositiveArgument(f"margin {margin} grows the inlier bounding box beyond float range")
     rng = np.random.default_rng(seed)
-    extra = rng.uniform(lo - pad, hi + pad, size=(n_outliers, dataset.d))
+    extra = rng.uniform(low, high, size=(n_outliers, dataset.d))
     points = np.vstack([dataset.points, extra])
     labels = None
     if dataset.labels is not None:

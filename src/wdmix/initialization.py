@@ -37,6 +37,8 @@ _LLOYD_TOL = 1e-9  # largest center move that counts as converged
 # Above this many points the k-means restarts run on a sample of this size and
 # only the best restart's centers go through Lloyd on all points.
 _KMEANS_SAMPLE = 8_192
+# The kNN weights query the tree this many rows at a time, in leaf order.
+_KNN_BLOCK = 8_192
 
 
 def _plus_plus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -191,7 +193,9 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
     and isolated points close to zero.  Results are clamped to a tiny
     positive floor.  A sliding-midpoint k-d tree finds the neighbours,
     queried on every core in the tree's leaf order, so that consecutive
-    queries visit the same leaves.
+    queries visit the same leaves.  The leaf order is walked in blocks of
+    ``_KNN_BLOCK`` (8,192) rows, and each block's sums go straight into the
+    result, so the working memory is O(n + 8,192 q) rather than O(n q).
     """
     points = as_dataset(data).points
     n = points.shape[0]
@@ -202,10 +206,12 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
     # Each pair's distance is computed the same way whatever the tree's shape
     # and whichever thread finds it, and eps=0 keeps the search exact.
     tree = cKDTree(points, leafsize=32, balanced_tree=False)
-    found, _ = tree.query(tree.data[tree.indices], k=q + 1, workers=-1)
-    dists = np.empty_like(found)
-    dists[tree.indices] = found
-    return kernel_sums(dists[:, 1:] ** 2, bandwidth)
+    weights = np.empty(n)
+    for start in range(0, n, _KNN_BLOCK):
+        rows = tree.indices[start : start + _KNN_BLOCK]
+        found, _ = tree.query(tree.data[rows], k=q + 1, workers=-1)
+        weights[rows] = kernel_sums(found[:, 1:] ** 2, bandwidth)
+    return weights
 
 
 def gamma_priors_from_weights(weights) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -627,6 +628,25 @@ _SEEDS = st.one_of(
     st.integers(-(10**25), 10**25).map(str),
     st.sampled_from(["-0", "0.5", "1e9", "nan", "inf", "", "x"]),
 )
+# Flag values for generate: finite ones capped so that no example draws more than a few thousand points.
+_SPECIAL_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "-1", "1e308"])
+_GENERATE_N = st.one_of(st.integers(-3, 300).map(str), _SPECIAL_NUMBERS)
+_FRACTIONS = st.one_of(st.floats(-1.0, 5.0).map(repr), _SPECIAL_NUMBERS)
+# Line edits of a dataset CSV: (line, field, action, value).
+_CSV_VALUES = st.one_of(
+    st.sampled_from(["x", "nan", "inf", "-inf", "", "1e999", "99999999999999999999", "-1", "1.5"]),
+    st.text(alphabet="0123456789-+.eainfx ", max_size=6),
+)
+_DATASET_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 200),
+        st.integers(0, 10),
+        st.sampled_from(["drop", "extra", "blank", "delete", "set"]),
+        _CSV_VALUES,
+    ),
+    min_size=1,
+    max_size=4,
+)
 _FUZZ = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -655,8 +675,30 @@ def _outcome(argv, usage_error_allowed=False):
     return code
 
 
+def _edit_line(lines, line, field, action, value):
+    """Apply one :data:`_DATASET_EDITS` edit to a CSV's lines in place."""
+    if action == "empty":
+        lines.clear()
+    if not lines:
+        return
+    i = line % len(lines)
+    if action == "blank":
+        lines.insert(i, "")
+    elif action == "delete":
+        del lines[i]
+    else:
+        fields = lines[i].split(",")
+        if action == "drop":
+            del fields[field % len(fields)]
+        elif action == "extra":
+            fields.append("0")
+        else:
+            fields[field % len(fields)] = value
+        lines[i] = ",".join(fields)
+
+
 class TestFuzzMain:
-    """main never lets an exception out, whatever the report, assignments or seed."""
+    """main never lets an exception out, whatever the files or flag values."""
 
     @_FUZZ
     @given(edit=_REPORT_EDITS, metrics=st.sampled_from(["outliers", "db", "db,outliers"]), plot=st.booleans())
@@ -722,3 +764,47 @@ class TestFuzzMain:
         with tempfile.TemporaryDirectory() as tmp:
             code = _outcome([command, *flags, "--seed", seed, "--out", Path(tmp) / "x"], usage_error_allowed=True)
         assert code == (0 if seed.lstrip("-").isdigit() and int(seed) >= 0 else 2)
+
+    @_FUZZ
+    @given(n=_GENERATE_N, fraction=_FRACTIONS, margin=_FRACTIONS)
+    @example(n="20", fraction="nan", margin="0.1")  # wrote clean data and exited 0
+    @example(n="20", fraction="-0.5", margin="0.1")  # wrote clean data and exited 0
+    @example(n="20", fraction="inf", margin="0.1")  # OverflowError
+    @example(n="20", fraction="0.3", margin="nan")  # OverflowError
+    @example(n="20", fraction="0.3", margin="inf")  # OverflowError
+    @example(n="20", fraction="0.3", margin="1e308")  # overflow warning, then OverflowError
+    @example(n="1", fraction="1e308", margin="0.1")  # more outliers than an array holds
+    @example(n="20", fraction="0", margin="nan")  # checked at fraction 0 as well
+    def test_generate_flags(self, n, fraction, margin):
+        with tempfile.TemporaryDirectory() as tmp:
+            # The --flag=value form lets argparse take values such as -inf.
+            code = _outcome(["generate", "--profile", "easy", f"--n={n}", f"--outlier-fraction={fraction}",
+                             f"--margin={margin}", "--out", Path(tmp) / "g.csv"], usage_error_allowed=True)
+        if not n.lstrip("-").isdigit():
+            assert code == 2
+            return
+        if not (int(n) >= 1 and all(0.0 <= float(v) < math.inf for v in (fraction, margin))):
+            assert code == 1
+        elif max(float(fraction), float(margin)) <= 5.0:  # 1e308 may pass or fail, with an error: line
+            assert code == 0
+
+    @_FUZZ
+    @given(edits=_DATASET_EDITS, command=st.sampled_from(["fit", "evaluate"]))
+    @example(edits=[(0, 0, "empty", None)], command="fit")
+    @example(edits=[(0, 0, "empty", None)], command="evaluate")
+    @example(edits=[(5, 2, "set", "99999999999999999999")], command="fit")  # a label beyond int64
+    @example(edits=[(5, 2, "set", "99999999999999999999")], command="evaluate")
+    def test_dataset_csv(self, tiny_fit, edits, command):
+        data, prefix = tiny_fit
+        lines = Path(data).read_text().splitlines()
+        assert lines[0].split(",")[2] == "label"
+        for edit in edits:
+            _edit_line(lines, *edit)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_text("".join(line + "\n" for line in lines))
+            flags = {
+                "fit": ("--input", path, "--k", 2, "--restarts", 1, "--out", Path(tmp) / "x"),
+                "evaluate": ("--model", f"{prefix}.model.json", "--truth", path, "--metrics", "db,f1"),
+            }[command]
+            _outcome([command, *flags])

@@ -1,5 +1,7 @@
 """k-means seeding, moment-matched models, and kernel weight construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -333,6 +335,52 @@ class TestKnnKernelWeights:
             knn_kernel_weights(data, q=1, bandwidth=0.0)
         with pytest.raises(NonPositiveWeight):
             knn_kernel_weights(data, q=1, bandwidth=float("nan"))
+
+
+def _whole_set_weights(points, q, bandwidth):
+    """Kernel weights from one leaf-order query of every point, scattered back to point order."""
+    tree = cKDTree(points, leafsize=32, balanced_tree=False)
+    found, _ = tree.query(tree.data[tree.indices], k=q + 1, workers=-1)
+    dists = np.empty_like(found)
+    dists[tree.indices] = found
+    return kernel_sums(dists[:, 1:] ** 2, bandwidth)
+
+
+_BLOCK = initialization._KNN_BLOCK
+
+
+class TestBlockedQuery:
+    """The tree is queried in leaf-order blocks; the weights equal one whole-set query's."""
+
+    @pytest.mark.parametrize(
+        "n, d", [(_BLOCK, 2), (_BLOCK + 1, 2), (3 * _BLOCK + 5, 2), (_BLOCK + 1, 3), (2 * _BLOCK + 7, 5)]
+    )
+    def test_bit_identical_to_one_whole_set_query(self, n, d):
+        points = np.random.default_rng(n + d).normal(size=(n, d)) * 4.0
+        got = knn_kernel_weights(points, q=20, bandwidth=10.0)
+        assert got.tobytes() == _whole_set_weights(points, 20, 10.0).tobytes()
+
+    def test_exact_duplicates_across_blocks(self):
+        # Rounded coordinates repeat every point many times over, so most
+        # distances are tied and stacks of duplicates straddle block edges.
+        points = np.round(np.random.default_rng(9).normal(size=(2 * _BLOCK + 300, 2)) * 3.0)
+        points[::7] = points[0]
+        dists, _ = cKDTree(points).query(points, k=21, workers=1)
+        assert np.mean(dists[:, 20] == dists[:, 19]) > 0.5
+        got = knn_kernel_weights(points, q=20, bandwidth=10.0)
+        assert got.tobytes() == _whole_set_weights(points, 20, 10.0).tobytes()
+
+    def test_traced_peak_stays_bounded(self):
+        # One whole-set query of 40,000 points peaks at about 40 MB of
+        # (n, q + 1) arrays and copies; 8,192-row blocks need about 8 MB.
+        points = np.random.default_rng(10).normal(size=(40_000, 2))
+        tracemalloc.start()
+        try:
+            knn_kernel_weights(points, q=20, bandwidth=100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 def _rotation(d: int, seed: int) -> np.ndarray:
