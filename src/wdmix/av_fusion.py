@@ -18,13 +18,14 @@ from scipy.spatial.distance import cdist
 
 from .core import Dataset, MixtureModel, Responsibilities
 from .em_fixed import e_step
-from .errors import LengthMismatch, NonPositiveWeight, SingleModality
+from .errors import LengthMismatch, SingleModality
 from .initialization import kernel_sums, pipeline_gamma_priors
 from .model_selection import MmlConfig, select_model
 
 AUDIO = "a"
 VISUAL = "v"
 _K_HIGH = 5  # components each segment's selection starts from (at most n)
+_BANDWIDTH = 100.0  # kernel bandwidth of the cross-modal weights
 
 
 class ComponentTag(str, Enum):
@@ -33,15 +34,13 @@ class ComponentTag(str, Enum):
     VISUAL_ONLY = "visual_only"
 
 
-def cross_modal_weights(dataset: Dataset, bandwidth: float = 100.0) -> np.ndarray:
+def cross_modal_weights(dataset: Dataset) -> np.ndarray:
     """Kernel sum over every point of the opposite modality.
 
     Audio points are weighted by their proximity to all visual points and
     vice versa; unlike the nearest-neighbour weights there is no neighbour
     truncation.
     """
-    if not bandwidth > 0.0:
-        raise NonPositiveWeight("bandwidth must be positive")
     if dataset.modality is None:
         raise SingleModality("dataset has no modality tags")
     audio = dataset.modality == AUDIO
@@ -51,7 +50,7 @@ def cross_modal_weights(dataset: Dataset, bandwidth: float = 100.0) -> np.ndarra
     pts = dataset.points
     weights = np.empty(dataset.n)
     for mask, other in ((audio, visual), (visual, audio)):
-        weights[mask] = kernel_sums(cdist(pts[mask], pts[other], "sqeuclidean"), bandwidth)
+        weights[mask] = kernel_sums(cdist(pts[mask], pts[other], "sqeuclidean"), _BANDWIDTH)
     return weights
 
 

@@ -107,12 +107,7 @@ def read_dataset_csv(path) -> Dataset:
                 raise NonRectangular(f"{path} line {lineno}: too few fields or a non-numeric value") from None
             if labels and not -(2**63) <= labels[-1] < 2**63:
                 raise NonRectangular(f"{path} line {lineno}: label {labels[-1]} does not fit in 64 bits")
-    return validate_dataset(
-        np.asarray(points),
-        labels=np.asarray(labels) if labels else None,
-        modality=np.asarray(modality) if modality else None,
-        outlier_flag=np.asarray(flags) if flags else None,
-    )
+    return validate_dataset(points, labels or None, modality or None, flags or None)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def assignments_from_model(dataset: Dataset, payload: dict) -> np.ndarray:
     if not isinstance(meta, dict):
         raise MalformedModel("model file's 'fit' field must be a JSON object")
     algorithm = meta.get("algorithm", "gmm")
-    if algorithm not in _ALGORITHMS:
+    if not isinstance(algorithm, str) or algorithm not in _ALGORITHMS:
         raise WdmixError(f"unknown algorithm {algorithm!r} in model file")
     engine, mode = _ALGORITHMS[algorithm]
     if mode == WeightMode.RANDOM and meta.get("assignment_rates") == "carried":
@@ -201,7 +196,7 @@ def assignments_from_model(dataset: Dataset, payload: dict) -> np.ndarray:
     if mode is not None:
         try:
             q, sigma = int(meta["q"]), float(meta["sigma"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise MalformedModel("model file's fit metadata needs numeric 'q' and 'sigma' fields") from None
         weights = default_weights(dataset, mode, q, sigma)
     e_step = engine.e_step_assignments if engine is em_weighted else engine.e_step

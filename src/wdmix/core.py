@@ -57,9 +57,14 @@ class WeightMode(str, enum.Enum):
 class Dataset:
     """A validated point set with optional per-point side information.
 
+    Points become a read-only, C-ordered float64 copy and each side array a
+    read-only copy of its dtype.  Raises NonRectangular for ragged or
+    non-numeric input, NaNInput for non-finite points, and LengthMismatch
+    for side arrays of the wrong length or unknown modality tags.
+
     Attributes:
         points: (n, d) float array, finite entries only.
-        labels: optional (n,) integer class labels; -1 marks planted outliers.
+        labels: optional (n,) int64 class labels; -1 marks planted outliers.
         modality: optional (n,) array of 'a' / 'v' tags for fused sensors.
         outlier_flag: optional (n,) boolean ground-truth contamination flags.
     """
@@ -70,21 +75,27 @@ class Dataset:
     outlier_flag: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = self.points
-        if not isinstance(pts, np.ndarray) or pts.ndim != 2 or pts.size == 0:
-            raise NonRectangular("points must be a non-empty 2-D array")
-        if not np.issubdtype(pts.dtype, np.floating):
-            raise NonRectangular("points must be a float array")
-        pts = np.array(pts, dtype=np.float64, order="C")
+        try:
+            pts = np.array(self.points, dtype=np.float64, order="C")
+        except (TypeError, ValueError) as exc:
+            raise NonRectangular(f"points are not a rectangular numeric table: {exc}") from None
+        if pts.ndim != 2 or pts.size == 0:
+            raise NonRectangular(f"points must be a non-empty 2-D table, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise NaNInput("points contain NaN or infinite entries")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         n = pts.shape[0]
-        for name in ("labels", "modality", "outlier_flag"):
-            side = getattr(self, name)
-            if side is not None and side.shape != (n,):
+        for name, dtype in (("labels", np.int64), ("modality", "U1"), ("outlier_flag", bool)):
+            if getattr(self, name) is None:
+                continue
+            try:
+                side = _frozen_array(getattr(self, name), dtype)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise NonRectangular(f"{name} do not convert to {np.dtype(dtype)}: {exc}") from None
+            if side.shape != (n,):
                 raise LengthMismatch(f"{name} has length {side.shape}, expected ({n},)")
+            object.__setattr__(self, name, side)
         if self.modality is not None:
             tags = set(np.unique(self.modality).tolist())
             if not tags <= {"a", "v"}:
@@ -100,26 +111,8 @@ class Dataset:
 
 
 def validate_dataset(points, labels=None, modality=None, outlier_flag=None) -> Dataset:
-    """Coerce raw arrays into a :class:`Dataset`, rejecting malformed input.
-
-    Raises NonRectangular for ragged or non-numeric tables, NaNInput for
-    non-finite entries, and LengthMismatch for side arrays of the wrong
-    length.
-    """
-    try:
-        pts = np.asarray(points, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise NonRectangular(f"points are not a rectangular numeric table: {exc}") from None
-    if pts.ndim != 2:
-        raise NonRectangular(f"points must be 2-D, got ndim={pts.ndim}")
-    if labels is not None:
-        labels = _frozen_array(labels, dtype=np.int64)
-    if modality is not None:
-        modality = np.array(modality, dtype="U1", copy=True)
-        modality.setflags(write=False)
-    if outlier_flag is not None:
-        outlier_flag = _frozen_array(outlier_flag, dtype=bool)
-    return Dataset(points=pts, labels=labels, modality=modality, outlier_flag=outlier_flag)
+    """Coerce raw arrays into a :class:`Dataset`; its constructor holds the checks."""
+    return Dataset(points, labels, modality, outlier_flag)
 
 
 def as_dataset(data) -> Dataset:

@@ -138,33 +138,19 @@ class _SelectionEngine:
     a row sum underflows.
     """
 
-    def __init__(self, data, config, weights, covariance_shape, seed, initial_model, restarts, q, bandwidth):
+    def __init__(self, data, config, kernel, initial_model):
         self.cfg = config
         X = data.points
         self.X = X
         self.n, self.d = X.shape
-        self.shape = CovarianceShape(covariance_shape)
+        self.shape = initial_model.covariance_shape
         self.random = config.weight_mode == WeightMode.RANDOM
-        # Weights and initial models are checked before the k-means restarts run.
-        if weights is None:
-            weights = default_weights(data, config.weight_mode, q, bandwidth)
+        self.kernel = kernel
         if self.random:
-            if not isinstance(weights, WeightState):
-                weights = tuple(weights)
-            _, self.kernel = em_weighted._regime(data, weights)
             # Once carried, the assignment step uses the posterior shapes with
             # per-component rates beta0 + Mah^2_j / 2 as of the latest
             # weight-posterior step: one with_rates kernel per component.
-            self.carried_kernel = GammaWeights(self.kernel.post_a, self.kernel.beta, self.d)
-        else:
-            _, self.kernel = em_fixed._regime(data, weights)
-        if initial_model is None:
-            labels, _ = kmeans(data, config.k_high, restarts=restarts, seed=seed)
-            initial_model = model_from_labels(data, labels, self.shape)
-        elif initial_model.d != self.d:
-            raise DimensionMismatch(f"initial model has d={initial_model.d}, data has d={self.d}")
-        elif CovarianceShape(initial_model.covariance_shape) != self.shape:
-            raise DimensionMismatch("initial model storage does not match covariance_shape")
+            self.carried_kernel = GammaWeights(kernel.post_a, kernel.beta, self.d)
         self.k_total = initial_model.n_components
         self.m = initial_model.free_params_per_component
         if self.n <= config.k_high * self.m / 2.0:
@@ -332,23 +318,32 @@ def select_model(
     weights=None,
     covariance_shape=CovarianceShape.FULL,
     seed=None,
-    initial_model=None,
     restarts: int = 10,
     q: int = 20,
     bandwidth: float = 100.0,
 ) -> FitReport:
     """Search component counts from ``k_high`` down to ``k_low``.
 
-    ``weights`` may be ``None`` (kernel weights are computed from the data
-    with ``q`` and ``bandwidth``), an ``(alpha, beta)`` pair for random
-    mode, a plain vector for fixed mode, or a ready :class:`WeightState`.
-    The report's objective trace holds the message length after every
-    sweep; the returned model is the checkpoint with the shortest length.
+    The search starts from the best of ``restarts`` k-means clusterings
+    with ``k_high`` clusters.  ``weights`` may be ``None`` (kernel weights
+    from the data with ``q`` and ``bandwidth``), an ``(alpha, beta)`` pair
+    for random mode, a plain vector for fixed mode, or a ready
+    :class:`WeightState`.  The report's objective trace holds the message
+    length after every sweep; the returned model is the shortest checkpoint.
     """
     data = as_dataset(data)
-    engine = _SelectionEngine(
-        data, config, weights, covariance_shape, seed, initial_model, restarts, q, bandwidth
-    )
+    shape = CovarianceShape(covariance_shape)
+    # Weights are checked before the k-means restarts run.
+    if weights is None:
+        weights = default_weights(data, config.weight_mode, q, bandwidth)
+    if config.weight_mode == WeightMode.RANDOM:
+        if not isinstance(weights, WeightState):
+            weights = tuple(weights)
+        _, kernel = em_weighted._regime(data, weights)
+    else:
+        _, kernel = em_fixed._regime(data, weights)
+    labels, _ = kmeans(data, config.k_high, restarts=restarts, seed=seed)
+    engine = _SelectionEngine(data, config, kernel, model_from_labels(data, labels, shape))
     best = None  # (model, responsibilities, weights) of the shortest checkpoint
     best_length = np.inf
     trace: list[float] = []

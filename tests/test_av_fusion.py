@@ -15,7 +15,7 @@ from wdmix import (
     model_from_parameters,
     validate_dataset,
 )
-from wdmix.errors import LengthMismatch, NonPositiveWeight, SingleModality
+from wdmix.errors import LengthMismatch, SingleModality
 
 
 def _segment(audio_points, visual_points):
@@ -42,7 +42,7 @@ class TestCrossModalWeights:
         # its weight is 2 exp(-100/100); each visual point sees one audio
         # point at the same distance and gets exp(-1).
         seg = _segment([[0.0, 0.0]], [[10.0, 0.0], [0.0, 10.0]])
-        w = cross_modal_weights(seg, bandwidth=100.0)
+        w = cross_modal_weights(seg)
         assert w[0] == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
         assert w[1] == pytest.approx(np.exp(-1.0), rel=1e-12)
         assert w[2] == pytest.approx(np.exp(-1.0), rel=1e-12)
@@ -72,13 +72,6 @@ class TestCrossModalWeights:
         only_audio = validate_dataset([[0.0, 0.0], [1.0, 0.0]], modality=["a", "a"])
         with pytest.raises(SingleModality):
             cross_modal_weights(only_audio)
-
-    def test_bandwidth_validation(self):
-        seg = _segment([[0.0, 0.0]], [[1.0, 0.0]])
-        with pytest.raises(NonPositiveWeight):
-            cross_modal_weights(seg, bandwidth=0.0)
-        with pytest.raises(NonPositiveWeight):
-            cross_modal_weights(seg, bandwidth=float("nan"))
 
 
 @settings(max_examples=20, deadline=None)

@@ -647,6 +647,53 @@ _DATASET_EDITS = st.lists(
     min_size=1,
     max_size=4,
 )
+# Where a JSON value replaces part of a valid model file: a top-level field,
+# a field of the fit metadata, one proportion, a component's mean or
+# covariance, or a single entry of either.
+_MODEL_PATHS = st.one_of(
+    st.sampled_from(["schema_version", "covariance_shape", "proportions", "components", "fit"]).map(
+        lambda key: (key,)
+    ),
+    st.sampled_from(["algorithm", "seed", "q", "sigma", "assignment_rates"]).map(lambda key: ("fit", key)),
+    st.tuples(st.just("proportions"), st.integers(0, 2)),
+    st.tuples(st.just("components"), st.integers(0, 2), st.sampled_from(["mean", "covariance"])),
+    st.tuples(st.just("components"), st.integers(0, 2), st.just("mean"), st.integers(0, 1)),
+    st.tuples(st.just("components"), st.integers(0, 2), st.just("covariance"), st.integers(0, 1), st.integers(0, 1)),
+)
+_MODEL_VALUES = st.one_of(
+    st.sampled_from([None, "x", 0, -1, 0.5, [], {}, [[1, 2], [3]], math.nan, math.inf, -math.inf, 1e308, True]),
+    _JSON,
+)
+# Numeric flags of fit and select, with their values; --restarts and the
+# iteration budgets are capped so that no example runs long.
+_RUN_FLAGS = {
+    "--q": st.integers(-2, 200).map(str),
+    "--sigma": st.floats(allow_nan=False).map(repr),
+    "--restarts": st.integers(-2, 3).map(str),
+}
+_FIT_FLAGS = {
+    **_RUN_FLAGS,
+    "--k": st.integers(-2, 12).map(str),
+    "--max-iter": st.integers(-2, 60).map(str),
+    "--tol": st.floats(allow_nan=False).map(repr),
+}
+_SELECT_FLAGS = {
+    **_RUN_FLAGS,
+    "--k-high": st.integers(-2, 12).map(str),
+    "--k-low": st.integers(-2, 12).map(str),
+    "--epsilon": st.floats(allow_nan=False).map(repr),
+    "--max-sweeps": st.integers(-2, 60).map(str),
+}
+
+
+def _flag_edits(flags):
+    """One to three (flag, value) pairs; a value is a special number, 0.5 or the flag's own draw."""
+    pair = st.sampled_from(sorted(flags)).flatmap(
+        lambda flag: st.tuples(st.just(flag), _SPECIAL_NUMBERS | st.just("0.5") | flags[flag])
+    )
+    return st.lists(pair, min_size=1, max_size=3)
+
+
 _FUZZ = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -808,3 +855,43 @@ class TestFuzzMain:
                 "evaluate": ("--model", f"{prefix}.model.json", "--truth", path, "--metrics", "db,f1"),
             }[command]
             _outcome([command, *flags])
+
+    @_FUZZ
+    @given(path=_MODEL_PATHS, value=_MODEL_VALUES, with_assignments=st.booleans())
+    @example(path=("fit", "algorithm"), value=[], with_assignments=False)  # unhashable type
+    @example(path=("fit", "algorithm"), value={}, with_assignments=False)
+    @example(path=("fit", "algorithm"), value=[[1, 2], [3]], with_assignments=False)
+    @example(path=("fit", "q"), value=math.inf, with_assignments=False)  # float infinity to integer
+    @example(path=("fit", "q"), value=-math.inf, with_assignments=False)
+    def test_model(self, tiny_fit, path, value, with_assignments):
+        data, prefix = tiny_fit
+        payload = json.loads(Path(f"{prefix}.model.json").read_text())
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key % len(parent)] if isinstance(key, int) else parent[key]
+        last = path[-1]
+        parent[last % len(parent) if isinstance(last, int) else last] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "m.json"
+            model.write_text(json.dumps(payload))
+            assignments = ["--assignments", f"{prefix}.assignments.csv"] if with_assignments else []
+            _outcome(["evaluate", "--model", model, "--truth", data, "--metrics", "db", *assignments])
+
+    @_FUZZ
+    @given(edits=_flag_edits(_FIT_FLAGS))
+    def test_fit_flags(self, tiny_fit, edits):
+        data, _ = tiny_fit
+        with tempfile.TemporaryDirectory() as tmp:
+            # Later flags override the valid defaults; --flag=value lets argparse take -inf.
+            _outcome(["fit", "--input", data, "--k", 3, "--restarts", 1, "--max-iter", 60,
+                      *(f"{flag}={value}" for flag, value in edits), "--out", Path(tmp) / "x"],
+                     usage_error_allowed=True)
+
+    @_FUZZ
+    @given(edits=_flag_edits(_SELECT_FLAGS))
+    def test_select_flags(self, tiny_fit, edits):
+        data, _ = tiny_fit
+        with tempfile.TemporaryDirectory() as tmp:
+            _outcome(["select", "--input", data, "--k-high", 3, "--restarts", 1, "--max-sweeps", 60,
+                      *(f"{flag}={value}" for flag, value in edits), "--out", Path(tmp) / "x"],
+                     usage_error_allowed=True)

@@ -96,6 +96,37 @@ class TestValidateDataset:
         assert isinstance(wrapped, Dataset) and wrapped.n == 2
 
 
+class TestDatasetChecksItsOwnInput:
+    """The constructor applies validate_dataset's rules; there is no second layer."""
+
+    @pytest.mark.parametrize(
+        "name, raw, dtype, want",
+        [
+            ("labels", [0, 1], np.int64, [0, 1]),
+            ("labels", np.array([0.5, 1.5]), np.int64, [0, 1]),
+            ("modality", ["a", "v"], "U1", ["a", "v"]),
+            ("outlier_flag", np.array([2, 3]), bool, [True, True]),
+        ],
+    )
+    def test_side_arrays_become_read_only_copies(self, name, raw, dtype, want):
+        direct = getattr(Dataset(np.zeros((2, 2)), **{name: raw}), name)
+        via = getattr(validate_dataset(np.zeros((2, 2)), **{name: raw}), name)
+        for side in (direct, via):
+            assert side.dtype == dtype and not side.flags.writeable
+            assert side.tolist() == want
+
+    def test_integer_points(self):
+        ds = Dataset(np.arange(6).reshape(3, 2))
+        assert ds.points.dtype == np.float64 and ds.points.flags.c_contiguous
+        assert not ds.points.flags.writeable
+        assert ds.points.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+    @pytest.mark.parametrize("make", [Dataset, validate_dataset])
+    def test_labels_beyond_int64(self, make):
+        with pytest.raises(NonRectangular, match="labels"):
+            make(np.zeros((2, 2)), labels=[0, 10**20])
+
+
 class TestFlooredCovariance:
     def test_adds_relative_ridge(self):
         cov = np.array([[2.0, 0.5], [0.5, 4.0]])

@@ -214,17 +214,6 @@ class TestSelectModel:
             assert np.array_equal(ca.full_covariance(), cb.full_covariance())
         assert a.objective_trace == b.objective_trace
 
-    def test_explicit_initial_model(self, blobs_2d):
-        init = model_from_parameters(
-            [np.array([0.0, 0.0]), np.array([120.0, 0.0]), np.array([0.0, 120.0]),
-             np.array([60.0, 60.0])],
-            [np.eye(2) * 100.0] * 4,
-            [0.25, 0.25, 0.25, 0.25],
-        )
-        config = MmlConfig(k_high=4)
-        report = select_model(blobs_2d, config, initial_model=init, seed=0)
-        assert report.final_model.n_components == 3
-
     def test_equal_bounds_stop_forced_annihilation(self, blobs_2d):
         config = MmlConfig(k_high=3, k_low=3)
         report = select_model(blobs_2d, config, seed=0)
@@ -313,37 +302,6 @@ class TestWeightValidation:
         alpha = np.r_[np.nan, np.ones(149)]
         with pytest.raises(NonPositiveShape):
             select_model(blobs_2d, MmlConfig(k_high=4), weights=(alpha, np.ones(150)), seed=0)
-
-
-class TestInitialModelValidation:
-    """A mismatched initial model is rejected before any sweep runs."""
-
-    @pytest.fixture
-    def no_sweep(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a sweep ran before the initial model was checked")
-
-        monkeypatch.setattr("wdmix.model_selection._SelectionEngine.sweep", fail)
-
-    def test_wrong_dimension(self, blobs_2d, no_sweep):
-        init = model_from_parameters([np.zeros(3), np.ones(3)], [np.eye(3)] * 2, [0.5, 0.5])
-        with pytest.raises(DimensionMismatch):
-            select_model(blobs_2d, MmlConfig(k_high=2), initial_model=init, seed=0)
-
-    @pytest.mark.parametrize("budget", [0, 50])
-    def test_full_storage_for_diagonal_shape(self, blobs_2d, blobs_model, no_sweep, budget):
-        config = MmlConfig(k_high=3, max_outer_iter=budget)
-        with pytest.raises(DimensionMismatch):
-            select_model(
-                blobs_2d, config, covariance_shape="diagonal", initial_model=blobs_model, seed=0
-            )
-
-    def test_diagonal_storage_for_full_shape(self, blobs_2d, no_sweep):
-        init = model_from_parameters(
-            [np.zeros(2), np.full(2, 100.0)], [np.ones(2)] * 2, [0.5, 0.5], CovarianceShape.DIAGONAL
-        )
-        with pytest.raises(DimensionMismatch):
-            select_model(blobs_2d, MmlConfig(k_high=2), initial_model=init, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -500,7 +458,7 @@ def _cache_engine():
     means = ([0.0, 0.0], [100.0, 0.0], [100.0, 0.0])
     init = model_from_parameters(means, [np.eye(2)] * 3, [0.4, 0.4, 0.2])
     config = MmlConfig(k_high=3, weight_mode="fixed")
-    return _SelectionEngine(data, config, np.ones(data.n), "full", None, init, 1, 20, 100.0)
+    return _SelectionEngine(data, config, em_fixed._regime(data, np.ones(data.n))[1], init)
 
 
 def _move(engine, k, mean):
@@ -555,7 +513,8 @@ class TestShiftedCache:
 def test_point_of_zero_density_raises_degenerate_row(blobs_2d, blobs_model):
     # The squared distance of a point at 1e160 overflows, so its log density
     # is -inf under every component.
-    points = np.vstack([blobs_2d.points, [[1e160, 1e160]]])
+    data = validate_dataset(np.vstack([blobs_2d.points, [[1e160, 1e160]]]))
     config = MmlConfig(k_high=3, weight_mode="fixed")
+    kernel = em_fixed._regime(data, np.ones(151))[1]
     with np.errstate(over="ignore"), pytest.raises(DegenerateRow, match="point 150"):
-        select_model(points, config, weights=np.ones(151), initial_model=blobs_model)
+        _SelectionEngine(data, config, kernel, blobs_model).sweep(0, [])

@@ -1,10 +1,14 @@
 """The package's public surface: exported names, the version string and imports."""
 
 import ast
+import dataclasses
+import enum
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,97 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     # Adding or removing an export is a deliberate edit of this list.
     assert sorted(wdmix.__all__) == PUBLIC_NAMES
+
+
+# Every exported callable, and every public function of the two EM modules,
+# with its parameter names: init fields for dataclasses and named tuples,
+# member values for enums.  Adding or removing a setting is a deliberate
+# edit of this map.
+PUBLIC_SIGNATURES = {
+    "AnnihilationEvent": ["iteration", "component", "proportion"],
+    "AvConfig": ["seed"],
+    "AvSegmentResult": ["model", "responsibilities", "tags", "relevance", "weights"],
+    "ComponentTag": ["audio_visual", "audio_only", "visual_only"],
+    "CovarianceShape": ["full", "diagonal"],
+    "Dataset": ["points", "labels", "modality", "outlier_flag"],
+    "FitConfig": ["max_iter", "rel_tol"],
+    "FitReport": [
+        "objective_trace", "final_model", "final_responsibilities", "final_weights", "iterations",
+        "converged", "annihilation_log", "kplus_history", "checkpoint_lengths", "best_length",
+    ],
+    "GaussianComponent": ["mean", "covariance"],
+    "MixtureModel": ["components", "proportions", "covariance_shape"],
+    "MmlConfig": ["k_high", "k_low", "epsilon", "max_outer_iter", "weight_mode", "assignment_rates"],
+    "OutlierScoreReport": ["inlier_mean_weight", "outlier_mean_weight", "auc"],
+    "Responsibilities": ["matrix"],
+    "WeightMode": ["fixed", "random"],
+    "WeightState": ["mode", "fixed_w", "prior_alpha", "prior_beta", "post_a", "post_b", "marginal_mean"],
+    "analyze_segment": ["segment", "config"],
+    "classify_components": ["responsibilities", "modality", "threshold"],
+    "contaminate_uniform": ["dataset", "outlier_fraction", "margin", "seed"],
+    "correct_detection": ["x_g", "model", "component_tags"],
+    "cross_modal_weights": ["dataset"],
+    "davies_bouldin": ["points", "labels", "centers"],
+    "gamma_priors_from_weights": ["weights"],
+    "generate_sim": ["profile", "n_inliers", "seed"],
+    "kmeans": ["data", "k", "restarts", "seed"],
+    "knn_kernel_weights": ["data", "q", "bandwidth"],
+    "log_gamma_pdf": ["w", "alpha", "beta"],
+    "log_gaussian_scaled": ["x", "component", "w"],
+    "log_pearson7": ["x", "component", "alpha", "beta"],
+    "mahalanobis_sq": ["x", "component"],
+    "message_length": ["data", "model", "responsibilities", "weight_state"],
+    "micro_f1": ["predicted", "true"],
+    "model_from_labels": ["data", "labels", "covariance_shape"],
+    "model_from_parameters": ["means", "covariances", "proportions", "covariance_shape"],
+    "outlier_score_report": ["weight_state", "outlier_flag"],
+    "pipeline_gamma_priors": ["weights"],
+    "select_model": ["data", "config", "weights", "covariance_shape", "seed", "restarts", "q", "bandwidth"],
+    "truncated_proportions": ["responsibility_sums", "free_params"],
+    "validate_dataset": ["points", "labels", "modality", "outlier_flag"],
+    "em_fixed.e_step": ["data", "model", "weights"],
+    "em_fixed.expected_complete_loglik": ["data", "model", "responsibilities", "weights"],
+    "em_fixed.expected_terms": ["points", "model", "eta", "wbar"],
+    "em_fixed.fit": ["data", "initial_model", "weights", "config"],
+    "em_fixed.loglik": ["data", "model", "weights"],
+    "em_fixed.m_step": ["data", "responsibilities", "weights", "covariance_shape"],
+    "em_fixed.mixture_posterior": ["points", "model", "kernel"],
+    "em_fixed.run_em": ["points", "initial_model", "kernel", "config"],
+    "em_fixed.weighted_m_step": ["points", "eta", "weight_matrix", "covariance_shape", "fallback_scale"],
+    "em_weighted.e_step_assignments": ["data", "model", "weight_state"],
+    "em_weighted.e_step_weights": ["data", "model", "weight_state"],
+    "em_weighted.expected_complete_loglik": ["data", "model", "responsibilities", "weight_state"],
+    "em_weighted.fit": ["data", "initial_model", "weight_state", "config"],
+    "em_weighted.m_step": ["data", "responsibilities", "weight_state", "covariance_shape"],
+    "em_weighted.marginal_loglik": ["data", "model", "weight_state"],
+    "em_weighted.marginal_weight_means": ["weight_state", "responsibilities"],
+}
+
+
+def _parameter_names(obj) -> list:
+    if dataclasses.is_dataclass(obj):
+        return [f.name for f in dataclasses.fields(obj) if f.init]
+    if isinstance(obj, type) and issubclass(obj, enum.Enum):
+        return [member.value for member in obj]
+    if isinstance(obj, type) and issubclass(obj, tuple):
+        return list(obj._fields)
+    return list(inspect.signature(obj).parameters)
+
+
+def test_public_signatures_are_pinned():
+    found = {
+        name: _parameter_names(getattr(wdmix, name))
+        for name in wdmix.__all__
+        if not isinstance(getattr(wdmix, name), types.ModuleType)
+    }
+    for module in (wdmix.em_fixed, wdmix.em_weighted):
+        short = module.__name__.rpartition(".")[2]
+        found.update(
+            (f"{short}.{name}", _parameter_names(obj))
+            for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")
+        )
+    assert found == PUBLIC_SIGNATURES
 
 
 def test_every_exported_name_resolves():
