@@ -102,11 +102,13 @@ def read_dataset_csv(path) -> Dataset:
                 if modality_idx is not None:
                     modality.append(parts[modality_idx])
                 if outlier_idx is not None:
-                    flags.append(bool(int(parts[outlier_idx])))
+                    flags.append(int(parts[outlier_idx]))
             except (IndexError, ValueError):
                 raise NonRectangular(f"{path} line {lineno}: too few fields or a non-numeric value") from None
             if labels and not -(2**63) <= labels[-1] < 2**63:
                 raise NonRectangular(f"{path} line {lineno}: label {labels[-1]} does not fit in 64 bits")
+            if modality and modality[-1] not in ("a", "v") or flags and flags[-1] not in (0, 1):
+                raise NonRectangular(f"{path} line {lineno}: modality must be 'a' or 'v' and outlier 0 or 1")
     return validate_dataset(points, labels or None, modality or None, flags or None)
 
 
@@ -315,11 +317,10 @@ def _cmd_select(args) -> int:
     report = select_model(
         dataset,
         config,
+        weights=default_weights(dataset, config.weight_mode, args.q, args.sigma),
         covariance_shape=CovarianceShape(args.covariance),
         seed=args.seed,
         restarts=args.restarts,
-        q=args.q,
-        bandwidth=args.sigma,
     )
     algorithm = "wd" if config.weight_mode == WeightMode.RANDOM else "fwd"
     meta = {

@@ -32,6 +32,13 @@ COVARIANCE_FLOOR_REL = 1e-10
 _SYMMETRY_RTOL = 1e-12
 _PROPORTION_ATOL = 1e-10
 
+# Side arrays: dtype, the test a value passes when the cast keeps it, the rule, the error.
+_SIDE_ARRAYS = (
+    ("labels", np.int64, lambda v: int(v) == v and -(2**63) <= v < 2**63, "whole numbers in int64", NonRectangular),
+    ("modality", "U1", lambda v: v in ("a", "v"), "'a' or 'v'", LengthMismatch),
+    ("outlier_flag", bool, lambda v: v in (0, 1), "booleans, 0 or 1", NonRectangular),
+)
+
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True)
@@ -59,8 +66,8 @@ class Dataset:
 
     Points become a read-only, C-ordered float64 copy and each side array a
     read-only copy of its dtype.  Raises NonRectangular for ragged or
-    non-numeric input, NaNInput for non-finite points, and LengthMismatch
-    for side arrays of the wrong length or unknown modality tags.
+    non-numeric input, non-whole labels or flags other than 0/1, NaNInput for
+    non-finite points, and LengthMismatch for wrong lengths or other tags.
 
     Attributes:
         points: (n, d) float array, finite entries only.
@@ -86,20 +93,20 @@ class Dataset:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         n = pts.shape[0]
-        for name, dtype in (("labels", np.int64), ("modality", "U1"), ("outlier_flag", bool)):
+        for name, dtype, keeps, rule, error in _SIDE_ARRAYS:
             if getattr(self, name) is None:
                 continue
             try:
-                side = _frozen_array(getattr(self, name), dtype)
+                raw = np.asarray(getattr(self, name))
+                bad = [v for v in dict.fromkeys(raw.ravel().tolist()) if not keeps(v)]
             except (TypeError, ValueError, OverflowError) as exc:
                 raise NonRectangular(f"{name} do not convert to {np.dtype(dtype)}: {exc}") from None
+            if bad:
+                raise error(f"{name} must be {rule}, got {bad[0]!r}")
+            side = _frozen_array(raw, dtype)
             if side.shape != (n,):
                 raise LengthMismatch(f"{name} has length {side.shape}, expected ({n},)")
             object.__setattr__(self, name, side)
-        if self.modality is not None:
-            tags = set(np.unique(self.modality).tolist())
-            if not tags <= {"a", "v"}:
-                raise LengthMismatch(f"modality tags must be 'a' or 'v', got {sorted(tags)}")
 
     @property
     def n(self) -> int:

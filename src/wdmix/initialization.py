@@ -233,7 +233,7 @@ def pipeline_gamma_priors(weights) -> tuple[np.ndarray, np.ndarray]:
     return gamma_priors_from_weights(np.maximum(w, PRIOR_WEIGHT_FLOOR))
 
 
-def default_weights(data, mode: WeightMode, q: int, bandwidth: float):
+def default_weights(data, mode: WeightMode, q: int = 20, bandwidth: float = 100.0):
     """A weighting regime's default weights, from :func:`knn_kernel_weights` with q capped at n-1.
 
     Fixed weights are the kernel weights themselves; random weights are

@@ -319,29 +319,23 @@ def select_model(
     covariance_shape=CovarianceShape.FULL,
     seed=None,
     restarts: int = 10,
-    q: int = 20,
-    bandwidth: float = 100.0,
 ) -> FitReport:
     """Search component counts from ``k_high`` down to ``k_low``.
 
     The search starts from the best of ``restarts`` k-means clusterings
-    with ``k_high`` clusters.  ``weights`` may be ``None`` (kernel weights
-    from the data with ``q`` and ``bandwidth``), an ``(alpha, beta)`` pair
-    for random mode, a plain vector for fixed mode, or a ready
-    :class:`WeightState`.  The report's objective trace holds the message
+    with ``k_high`` clusters.  ``weights`` takes the forms the fits take:
+    an ``(alpha, beta)`` tuple in random mode, a vector in fixed mode, or a
+    ready :class:`WeightState`; ``None`` means :func:`default_weights` with
+    its kNN kernel defaults.  The report's objective trace holds the message
     length after every sweep; the returned model is the shortest checkpoint.
     """
     data = as_dataset(data)
     shape = CovarianceShape(covariance_shape)
     # Weights are checked before the k-means restarts run.
     if weights is None:
-        weights = default_weights(data, config.weight_mode, q, bandwidth)
-    if config.weight_mode == WeightMode.RANDOM:
-        if not isinstance(weights, WeightState):
-            weights = tuple(weights)
-        _, kernel = em_weighted._regime(data, weights)
-    else:
-        _, kernel = em_fixed._regime(data, weights)
+        weights = default_weights(data, config.weight_mode)
+    regime = em_weighted._regime if config.weight_mode == WeightMode.RANDOM else em_fixed._regime
+    _, kernel = regime(data, weights)
     labels, _ = kmeans(data, config.k_high, restarts=restarts, seed=seed)
     engine = _SelectionEngine(data, config, kernel, model_from_labels(data, labels, shape))
     best = None  # (model, responsibilities, weights) of the shortest checkpoint
@@ -350,47 +344,34 @@ def select_model(
     kplus_hist: list[int] = []
     checkpoint_lengths: list[float] = []
     ann_log: list[AnnihilationEvent] = []
-    sweeps = 0
-    converged = True
-    stop = False
-
-    while len(engine.active) >= config.k_low and not stop:
-        len_prev = None
-        while True:
-            if sweeps >= config.max_outer_iter:
-                converged = False
-                stop = True
-                break
-            try:
-                engine.sweep(sweeps, ann_log)
-            except AllAnnihilated:
-                if best is None:
-                    raise
-                converged = False
-                stop = True
-                break
-            current = engine.measure()
-            trace.append(current)
-            kplus_hist.append(len(engine.active))
-            sweeps += 1
-            if len_prev is not None and abs(current - len_prev) < config.epsilon * max(
-                abs(len_prev), 1e-300
-            ):
-                break
-            len_prev = current
-        if stop:
+    converged = False
+    len_prev = None
+    # One exit per stop cause: the budget, all components annihilated, k_low reached.
+    while len(trace) < config.max_outer_iter:
+        try:
+            engine.sweep(len(trace), ann_log)
+        except AllAnnihilated:
+            if best is None:
+                raise
             break
+        current = engine.measure()
+        trace.append(current)
+        kplus_hist.append(len(engine.active))
+        if len_prev is None or not abs(current - len_prev) < config.epsilon * max(abs(len_prev), 1e-300):
+            len_prev = current
+            continue
         checkpoint_lengths.append(current)
         if current < best_length:
             best_length = current
             best = engine.freeze()
-        if len(engine.active) > config.k_low:
-            act = np.array(engine.active)
-            k_star = int(act[int(np.argmin(engine.pis[act]))])
-            ann_log.append(AnnihilationEvent(sweeps, k_star, float(engine.pis[k_star])))
-            engine.drop(k_star)
-        else:
+        if len(engine.active) <= config.k_low:
+            converged = True
             break
+        act = np.array(engine.active)
+        k_star = int(act[int(np.argmin(engine.pis[act]))])
+        ann_log.append(AnnihilationEvent(len(trace), k_star, float(engine.pis[k_star])))
+        engine.drop(k_star)
+        len_prev = None
 
     if best is None:
         # Budget ran out before any stage converged; report the current state.
@@ -404,7 +385,7 @@ def select_model(
         final_model=model,
         final_responsibilities=responsibilities,
         final_weights=weight_state,
-        iterations=sweeps,
+        iterations=len(trace),
         converged=converged,
         annihilation_log=tuple(ann_log),
         kplus_history=tuple(kplus_hist),

@@ -55,3 +55,13 @@ def test_summary_line_names_each_metric():
     metric = {**bench_pairs.verdict(BASE, _side(0.14, 0.15, 0.16), 10, 10, "lower", 0.25), "head_wins": 10}
     line = bench_pairs.summary_line("av_scenes", {"unit_ms": metric})
     assert line == "av_scenes: unit_ms -25.0% wins 10 GAIN"
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "wdmix"
+    (package / "data").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("\n\nz = 3")  # wc -l counts newlines: 2
+    (package / "data" / "c.py").write_text("skipped\n")
+    (package / "notes.txt").write_text("skipped\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

@@ -26,6 +26,7 @@ from wdmix.cli import (
     write_dataset_csv,
 )
 from wdmix.errors import WdmixError
+from wdmix.initialization import default_weights
 
 
 def run_cli(*argv):
@@ -217,6 +218,29 @@ class TestSelect:
         payload = json.loads((tmp_path / "fwd.report.json").read_text())
         assert payload["algorithm"] == "select-fwd"
         assert "weight_means" not in payload
+
+    @pytest.mark.parametrize("mode", ["random", "fixed"])
+    def test_kernel_flags_set_the_default_weights(self, mode, small_csv, tmp_path):
+        prefix = tmp_path / "sel"
+        code = run_cli(
+            "select", "--input", small_csv, "--k-high", 4, "--weight-mode", mode, "--q", 10,
+            "--sigma", 50, "--restarts", 2, "--seed", 0, "--out", prefix,
+        )
+        assert code == 0
+        data = read_dataset_csv(small_csv)
+        config = wdmix.MmlConfig(k_high=4, weight_mode=mode)
+        want = wdmix.select_model(
+            data, config, weights=default_weights(data, config.weight_mode, 10, 50.0), seed=0, restarts=2
+        )
+        payload = json.loads((tmp_path / "sel.report.json").read_text())
+        assert payload["objective_trace"] == list(want.objective_trace)
+        assert payload["checkpoint_lengths"] == list(want.checkpoint_lengths)
+        assert payload["selected_k"] == want.final_model.n_components
+        assert read_assignments_csv(f"{prefix}.assignments.csv").tolist() == (
+            want.final_responsibilities.hard_assignments().tolist()
+        )
+        default = wdmix.select_model(data, config, seed=0, restarts=2)  # q = 20, bandwidth = 100
+        assert payload["objective_trace"] != list(default.objective_trace)
 
     def test_small_sample_warning_reaches_stderr(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.csv"
@@ -445,6 +469,17 @@ class TestErrorHandling:
         code = run_cli("fit", "--input", bad, "--k", 1, "--out", tmp_path / "x")
         assert code == 1
         assert f"error: {bad} line 3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, good, bad", [("outlier", "0", "2"), ("modality", "a", "audio")], ids=["flag_2", "long_tag"]
+    )
+    def test_side_cell_a_cast_would_change_exits_one(self, column, good, bad, tmp_path, capsys):
+        # The dtype cast would read the flag 2 as an outlier and the tag 'audio' as 'a'.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,{column}\n0.0,1.0,{good}\n1.5,2.5,{bad}\n2.0,3.0,{good}\n")
+        code = run_cli("fit", "--input", path, "--k", 1, "--out", tmp_path / "x")
+        assert code == 1
+        assert f"error: {path} line 3:" in capsys.readouterr().err
 
     def test_assignments_line_without_cluster_exits_one(self, fitted, small_csv, tmp_path, capsys):
         bad = tmp_path / "bad.assignments.csv"
@@ -841,6 +876,7 @@ class TestFuzzMain:
     @example(edits=[(0, 0, "empty", None)], command="evaluate")
     @example(edits=[(5, 2, "set", "99999999999999999999")], command="fit")  # a label beyond int64
     @example(edits=[(5, 2, "set", "99999999999999999999")], command="evaluate")
+    @example(edits=[(5, 3, "set", "2")], command="fit")  # an outlier flag other than 0 or 1
     def test_dataset_csv(self, tiny_fit, edits, command):
         data, prefix = tiny_fit
         lines = Path(data).read_text().splitlines()

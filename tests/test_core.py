@@ -103,9 +103,9 @@ class TestDatasetChecksItsOwnInput:
         "name, raw, dtype, want",
         [
             ("labels", [0, 1], np.int64, [0, 1]),
-            ("labels", np.array([0.5, 1.5]), np.int64, [0, 1]),
+            ("labels", np.array([0.0, 1.0]), np.int64, [0, 1]),
             ("modality", ["a", "v"], "U1", ["a", "v"]),
-            ("outlier_flag", np.array([2, 3]), bool, [True, True]),
+            ("outlier_flag", np.array([1, 0]), bool, [True, False]),
         ],
     )
     def test_side_arrays_become_read_only_copies(self, name, raw, dtype, want):
@@ -125,6 +125,25 @@ class TestDatasetChecksItsOwnInput:
     def test_labels_beyond_int64(self, make):
         with pytest.raises(NonRectangular, match="labels"):
             make(np.zeros((2, 2)), labels=[0, 10**20])
+
+    # The dtype cast would change each value: NaN to the int64 minimum (with
+    # only a RuntimeWarning), 0.5 to 0, 'audio' to 'a', 2 and 'no' to True.
+    @pytest.mark.parametrize("make", [Dataset, validate_dataset])
+    @pytest.mark.parametrize(
+        "name, raw, error",
+        [
+            ("labels", np.array([np.nan, 1.0]), NonRectangular),
+            ("labels", np.array([0.5, 1.5]), NonRectangular),
+            ("labels", np.array([1e20, 1.0]), NonRectangular),
+            ("modality", ["audio", "video"], LengthMismatch),
+            ("outlier_flag", [2, 0.5], NonRectangular),
+            ("outlier_flag", ["no", "no"], NonRectangular),
+        ],
+        ids=["nan_label", "half_label", "label_beyond_int64", "long_tag", "flag_2", "flag_no"],
+    )
+    def test_values_a_cast_would_change(self, make, name, raw, error):
+        with pytest.raises(error, match=name):
+            make(np.zeros((2, 2)), **{name: raw})
 
 
 class TestFlooredCovariance:

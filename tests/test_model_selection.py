@@ -228,6 +228,15 @@ class TestSelectModel:
         assert report.iterations == 2
         assert report.final_model is not None
 
+    def test_zero_budget_reports_the_k_means_start(self, blobs_2d):
+        config = MmlConfig(k_high=6, max_outer_iter=0)
+        report = select_model(blobs_2d, config, seed=0)
+        assert report.iterations == 0
+        assert report.objective_trace == () and report.kplus_history == ()
+        assert report.checkpoint_lengths == (report.best_length,)
+        assert not report.converged
+        assert report.final_model.n_components == 6
+
     def test_all_annihilated_with_no_checkpoint_raises(self):
         # Four points cannot support two 5-parameter 2-D components: both
         # columns fall below the half-parameter threshold in the very first
@@ -297,6 +306,15 @@ class TestWeightValidation:
     def test_random_mode_rejects_plain_weight_vector(self, blobs_2d, no_kmeans):
         with pytest.raises(NonPositiveShape):
             select_model(blobs_2d, MmlConfig(k_high=4), weights=np.ones(150), seed=0)
+
+    @pytest.mark.parametrize("pair", [list, np.array], ids=["list", "array_2xn"])
+    def test_random_priors_only_as_a_tuple(self, blobs_2d, no_kmeans, pair):
+        # The fits take an (alpha, beta) tuple or a WeightState, and so does selection.
+        priors = pair([np.ones(150), np.ones(150)])
+        with pytest.raises(NonPositiveShape):
+            select_model(blobs_2d, MmlConfig(k_high=4), weights=priors, seed=0)
+        with pytest.raises(NonPositiveShape):
+            em_weighted.fit(blobs_2d, None, priors)
 
     def test_random_priors_nan(self, blobs_2d, no_kmeans):
         alpha = np.r_[np.nan, np.ones(149)]
@@ -378,6 +396,21 @@ class TestMatchesFullMatrixEngine:
         got = select_model(small_contaminated, config, seed=4, restarts=2)
         want = reference_select_model(small_contaminated, config, seed=4, restarts=2)
         assert not got.converged and got.iterations == 3
+        self._assert_matches(got, want)
+
+    # Budgets 0 and 1 stop before any stage settles; k_low = 3 stops after
+    # forced annihilations, and k_low = k_high = 6 at the first settled stage
+    # (with 5 components: one is annihilated in the first sweep).
+    @pytest.mark.parametrize("k_low, budget", [(1, 0), (1, 1), (3, 2000), (6, 2000)])
+    @pytest.mark.parametrize("mode", ["random", "fixed"])
+    def test_bit_identical_at_the_stop_edges(self, small_contaminated, mode, k_low, budget):
+        config = MmlConfig(k_high=6, k_low=k_low, max_outer_iter=budget, weight_mode=mode)
+        got = select_model(small_contaminated, config, seed=4, restarts=2)
+        want = reference_select_model(small_contaminated, config, seed=4, restarts=2)
+        if budget < 2000:
+            assert (got.iterations, got.converged) == (budget, False)
+        else:
+            assert got.converged and got.kplus_history[-1] <= k_low
         self._assert_matches(got, want)
 
     def test_matches_at_large_size_when_budget_runs_out(self):

@@ -77,7 +77,7 @@ PUBLIC_SIGNATURES = {
     "model_from_parameters": ["means", "covariances", "proportions", "covariance_shape"],
     "outlier_score_report": ["weight_state", "outlier_flag"],
     "pipeline_gamma_priors": ["weights"],
-    "select_model": ["data", "config", "weights", "covariance_shape", "seed", "restarts", "q", "bandwidth"],
+    "select_model": ["data", "config", "weights", "covariance_shape", "seed", "restarts"],
     "truncated_proportions": ["responsibility_sums", "free_params"],
     "validate_dataset": ["points", "labels", "modality", "outlier_flag"],
     "em_fixed.e_step": ["data", "model", "weights"],

@@ -17,8 +17,8 @@ run is read.  ``BENCH_<pr>.json``, written to the repository root, records
 per workload and gated metric (the ``end_to_end`` list of the head's
 ``BENCHMARK.json``) each side's median, quartiles and every run's value,
 and how many pairs the head won (ties win for neither side).  It also
-records the seeds, both sides' commit and ``src/`` tree SHAs, ``nproc``
-and the BLAS thread variables.
+records the seeds, both sides' commit and ``src/`` tree SHAs, their line
+counts of ``src/wdmix/*.py``, ``nproc`` and the BLAS thread variables.
 
 Each metric also carries the verdict of the paired-runs rule: the median
 gap (head minus base, and relative to the base median), the base's
@@ -83,6 +83,11 @@ def describe_sides() -> dict:
         "head": {"rev": "working tree", "commit": commit, "dirty": True,
                  "src_tree": git("rev-parse", f"{tree}:src"), "tree_ish": tree},
     }
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/wdmix/*.py`` in one exported checkout, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "wdmix").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -171,6 +176,7 @@ def main(argv=None) -> int:
         for name, side in sides.items():
             checkouts[name] = Path(workdir) / name
             export(side.pop("tree_ish"), checkouts[name])
+            side["src_lines"] = src_lines(checkouts[name])
         results = run_pairs(checkouts, args.pairs, args.seeds)
 
     payload = {
