@@ -14,6 +14,7 @@ message once, as ``warning: <message>`` lines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -98,11 +99,13 @@ def read_dataset_csv(path) -> Dataset:
             try:
                 points.append([float(parts[i]) for i in feature_idx])
                 if label_idx is not None:
-                    labels.append(int(parts[label_idx]))
+                    labels.append(_whole_number(parts[label_idx], "label", path, lineno))
                 if modality_idx is not None:
                     modality.append(parts[modality_idx])
                 if outlier_idx is not None:
-                    flags.append(int(parts[outlier_idx]))
+                    flags.append(_whole_number(parts[outlier_idx], "outlier", path, lineno))
+            except WdmixError:
+                raise
             except (IndexError, ValueError):
                 raise NonRectangular(f"{path} line {lineno}: too few fields or a non-numeric value") from None
             if labels and not -(2**63) <= labels[-1] < 2**63:
@@ -110,6 +113,19 @@ def read_dataset_csv(path) -> Dataset:
             if modality and modality[-1] not in ("a", "v") or flags and flags[-1] not in (0, 1):
                 raise NonRectangular(f"{path} line {lineno}: modality must be 'a' or 'v' and outlier 0 or 1")
     return validate_dataset(points, labels or None, modality or None, flags or None)
+
+
+def _whole_number(cell: str, column: str, path, lineno: int) -> int:
+    """A ``label`` or ``outlier`` cell as an int: integer text exactly, else a whole-number float."""
+    try:
+        return int(cell)
+    except ValueError:
+        pass
+    with contextlib.suppress(ValueError):
+        value = float(cell)
+        if value.is_integer():
+            return int(value)
+    raise NonRectangular(f"{path} line {lineno}: {column} {cell.strip()!r} is not a whole number")
 
 
 # ---------------------------------------------------------------------------

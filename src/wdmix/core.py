@@ -8,6 +8,7 @@ defensive copies.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -130,23 +131,27 @@ def as_dataset(data) -> Dataset:
 
 
 def floored_covariance(cov: np.ndarray, fallback_scale: float) -> np.ndarray:
-    """Add the relative diagonal ridge to a freshly estimated covariance.
+    """Add the relative diagonal ridge to a copy of a freshly estimated covariance.
 
     The ridge is ``COVARIANCE_FLOOR_REL * mean(diagonal)``.  When the
     estimate has collapsed to (numerically) zero trace the ridge falls back
     to the supplied data-level scale so the result stays positive-definite.
     """
-    cov = np.asarray(cov, dtype=np.float64)
+    return _add_ridge(np.array(cov, dtype=np.float64, order="C"), fallback_scale)
+
+
+def _add_ridge(cov: np.ndarray, fallback_scale: float) -> np.ndarray:
+    """:func:`floored_covariance` in place, for a C-ordered covariance the caller owns."""
     diag = cov.diagonal() if cov.ndim == 2 else cov
     scale = float(diag.sum()) / diag.shape[0]
     if not scale > 0.0:
         scale = float(fallback_scale) if fallback_scale > 0.0 else 1.0
     ridge = COVARIANCE_FLOOR_REL * scale
     if cov.ndim == 2:
-        out = cov.copy()
-        out.flat[:: cov.shape[0] + 1] += ridge
-        return out
-    return cov + ridge
+        cov.ravel()[:: cov.shape[0] + 1] += ridge
+    else:
+        cov += ridge
+    return cov
 
 
 def data_scale(points: np.ndarray) -> float:
@@ -156,20 +161,36 @@ def data_scale(points: np.ndarray) -> float:
 
 def weighted_component(
     points, omega, omega_sum, resp_sum, shape, fallback_scale
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and floored covariance of one component from weighted responsibilities.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, floored covariance and centred points of one component from weighted responsibilities.
 
     ``omega`` holds the (n,) responsibilities times the M-step weights and
     ``omega_sum`` its sum.  The covariance divides the weighted scatter by
-    the plain responsibility sum ``resp_sum``.
+    the plain responsibility sum ``resp_sum``.  The centred points
+    ``points - mean`` are a fresh (n, d) array the caller may overwrite.
     """
     mu = omega @ points / omega_sum
-    diff = points - mu
+    diff = _broadcast(np.subtract, points, mu[None, :])
     if shape == CovarianceShape.DIAGONAL:
         cov = omega @ (diff * diff) / resp_sum
     else:
-        cov = (diff * omega[:, None]).T @ diff / resp_sum
-    return mu, floored_covariance(cov, fallback_scale)
+        cov = _broadcast(np.multiply, diff, omega[:, None]).T @ diff / resp_sum
+    return mu, _add_ridge(cov, fallback_scale), diff
+
+
+def _broadcast(ufunc, points: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``ufunc(points, other)`` for (n, d) points, as a new C-ordered (n, d) array.
+
+    In its own order NumPy runs one inner loop of d elements per row.  At
+    d = 2 the loop runs down each column instead, into the same row-major
+    buffer, about 2-4 times faster for n in the thousands; at d = 8 it is
+    slower.  Each element is computed alone, so the order sets no bit.
+    """
+    if points.shape[1] != 2:
+        return ufunc(points, other)
+    out = np.empty(points.shape)
+    ufunc(points.T, other.T, out=out.T, order="C")
+    return out
 
 
 def factor_covariance(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -195,15 +216,39 @@ def _factor_symmetric(cov: np.ndarray) -> tuple[np.ndarray, float]:
     NonPositiveDefinite, never LinAlgError, for a non-positive-definite
     matrix or non-positive variances.
     """
-    if cov.ndim == 2:
+    if cov.ndim == 1:
+        if (cov <= 0.0).any():
+            raise NonPositiveDefinite("diagonal variances must be positive")
+        return np.sqrt(cov), float(np.log(cov).sum())
+    if cov.shape == (2, 2):
+        chol = _cholesky_2x2(cov)
+    else:
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise NonPositiveDefinite("covariance is not positive-definite") from None
-        return chol, 2.0 * float(np.log(chol.diagonal()).sum())
-    if (cov <= 0.0).any():
-        raise NonPositiveDefinite("diagonal variances must be positive")
-    return np.sqrt(cov), float(np.log(cov).sum())
+    return chol, 2.0 * float(np.log(chol.diagonal()).sum())
+
+
+def _cholesky_2x2(cov: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky`` of a 2 x 2 matrix bit for bit, without its wrapper.
+
+    LAPACK's unblocked steps on the lower triangle: l11 = sqrt(a11),
+    l21 = (1 / l11) * a21, l22 = sqrt(a22 - l21 * l21), with its operand
+    order, so that even NaN payloads agree.  As there, a pivot <= 0 raises
+    and a NaN pivot passes on into the factor, and the zero reciprocal of an
+    infinite l11 scales a21 to +0.0 whatever its value.
+    """
+    a11, _, a21, a22 = cov.ravel().tolist()
+    if a11 <= 0.0:
+        raise NonPositiveDefinite("covariance is not positive-definite")
+    l11 = math.sqrt(a11)
+    inv = 1.0 / l11
+    l21 = inv * a21 if inv else 0.0
+    pivot = a22 - l21 * l21
+    if pivot <= 0.0:
+        raise NonPositiveDefinite("covariance is not positive-definite")
+    return np.array([[l11, 0.0], [l21, math.sqrt(pivot)]])
 
 
 @dataclass(frozen=True)

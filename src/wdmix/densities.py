@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaln
 
-from .core import GaussianComponent, MixtureModel, WeightMode, WeightState
+from .core import GaussianComponent, MixtureModel, WeightMode, WeightState, _broadcast
 from .errors import (
     DegenerateRow,
     DimensionMismatch,
@@ -45,7 +45,14 @@ def squared_distances(points: np.ndarray, mean: np.ndarray, factor: np.ndarray) 
     ``factor`` is the lower Cholesky factor of a full covariance, or the
     (d,) variance vector of a diagonal one.
     """
-    diff = points - mean
+    return centred_distances(_broadcast(np.subtract, points, mean[None, :]), factor)
+
+
+def centred_distances(diff: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """:func:`squared_distances` of C-ordered centred points ``points - mean``.
+
+    The triangular solve overwrites ``diff`` in place.
+    """
     if factor.ndim == 1:
         return (diff * diff / factor).sum(axis=1)
     z, info = dtrtrs(factor, diff.T, lower=1, overwrite_b=1)

@@ -89,9 +89,10 @@ def weighted_m_step(
                 cov = np.diagonal(cov).copy()
             cov = floored_covariance(cov, fallback_scale)
         else:
+            # The centred points are dropped at once, not kept into the next component's update.
             mu, cov = weighted_component(
                 points, omega[:, j], omega_sums[j], resp_sums[j], shape, fallback_scale
-            )
+            )[:2]
         comps.append(GaussianComponent(mu, cov))
     return MixtureModel(tuple(comps), props, shape)
 

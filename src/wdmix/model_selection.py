@@ -29,8 +29,8 @@ from .core import (
     data_scale,
     weighted_component,
 )
-from .densities import GammaWeights, _pairwise_sum, expected_log_terms, squared_distances
-from .errors import AllAnnihilated, DegenerateRow, DimensionMismatch, EmptyInput, NoActiveComponents
+from .densities import GammaWeights, _pairwise_sum, centred_distances, expected_log_terms
+from .errors import AllAnnihilated, DegenerateRow, DimensionMismatch, EmptyInput, NaNInput, NoActiveComponents
 from .initialization import default_weights, kmeans, model_from_labels
 
 # The shifted exponential cache of _SelectionEngine is rebuilt when a
@@ -75,13 +75,20 @@ def truncated_proportions(responsibility_sums, free_params: int) -> np.ndarray:
     Each component's responsibility column sum is reduced by half its
     parameter count and clipped at zero before normalisation, so components
     whose support cannot pay for their own parameters receive exactly zero
-    proportion.  Raises AllAnnihilated when every component is below the
-    threshold.
+    proportion.  Raises EmptyInput for no sums, NaNInput for a non-finite
+    one, and AllAnnihilated when every component is below the threshold.
     """
     s = np.asarray(responsibility_sums, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise EmptyInput("responsibility sums must be a non-empty vector")
-    trimmed = np.maximum(0.0, s - 0.5 * free_params)
+    if not np.isfinite(s).all():
+        raise NaNInput("responsibility sums must be finite")
+    return _trimmed_proportions(s, free_params)
+
+
+def _trimmed_proportions(sums: np.ndarray, free_params: int) -> np.ndarray:
+    """:func:`truncated_proportions` without its input checks, for the sweep's own sums."""
+    trimmed = np.maximum(0.0, sums - 0.5 * free_params)
     total = float(trimmed.sum())
     if total <= 0.0:
         raise AllAnnihilated("every component fell below the minimum support")
@@ -106,15 +113,15 @@ def message_length(data, model: MixtureModel, responsibilities: Responsibilities
         q_value = em_fixed.expected_complete_loglik(data, model, responsibilities, weight_state)
     else:
         q_value = em_weighted.expected_complete_loglik(data, model, responsibilities, weight_state)
-    return _two_part_length(pis[active], q_value, model.free_params_per_component, data.n)
+    return _two_part_length(np.log(pis[active]), q_value, model.free_params_per_component, data.n)
 
 
-def _two_part_length(pis: np.ndarray, q_value: float, m: int, n: int) -> float:
-    """Message length from the surviving proportions and the expected objective."""
+def _two_part_length(log_pi: np.ndarray, q_value: float, m: int, n: int) -> float:
+    """Message length from the surviving log proportions and the expected objective."""
     return (
-        0.5 * m * float(np.log(pis).sum())
+        0.5 * m * float(log_pi.sum())
         - q_value
-        + 0.5 * pis.size * (m + 1) * (1.0 + np.log(n / 12.0))
+        + 0.5 * log_pi.size * (m + 1) * (1.0 + np.log(n / 12.0))
     )
 
 
@@ -179,11 +186,14 @@ class _SelectionEngine:
 
     # -- cache upkeep -----------------------------------------------------
 
-    def _store(self, k: int, mean, cov, factor, log_det: float) -> None:
+    def _store(self, k: int, mean, cov, factor, log_det: float, diff=None) -> None:
+        """Set component k; ``diff``, the centred points ``X - mean`` if at hand, is overwritten."""
         self.means[k] = mean
         self.covs[k] = cov
         self.log_dets[k] = log_det
-        self.maha[:, k] = squared_distances(self.X, mean, factor)
+        if diff is None:
+            diff = self.X - mean
+        self.maha[:, k] = centred_distances(diff, factor)
         self.dirty.add(k)
         self.refreshed.add(k)
 
@@ -249,17 +259,17 @@ class _SelectionEngine:
             wbar = self.kernel.weight_means(self.maha[:, k : k + 1])[:, 0]
             if carry:
                 self._carry_rates()
-            new_pis = truncated_proportions(sums, self.m)
+            new_pis = _trimmed_proportions(sums, self.m)
             pos = act.index(k)
             old_pi = float(self.pis[k])
             self.pis[k] = new_pis[pos]
             if self.pis[k] > 0.0:
                 omega = eta_k * wbar
-                mu, cov = weighted_component(
+                mu, cov, diff = weighted_component(
                     self.X, omega, omega.sum(), sums[pos], self.shape, self.global_scale
                 )
                 chol, log_det = _factor_symmetric(cov)
-                self._store(k, mu, cov, cov if cov.ndim == 1 else chol, log_det)
+                self._store(k, mu, cov, cov if cov.ndim == 1 else chol, log_det, diff)
                 self._renormalize()
             else:
                 log.append(AnnihilationEvent(sweep_index, k, old_pi))
@@ -289,15 +299,17 @@ class _SelectionEngine:
         r = self._inverse_row_sums()
         act = np.array(self.active)
         # C order, as message_length's copy of it, so q_value sums in the same order.
-        eta = np.multiply(self.E[:, act], self.pis[act], order="C")
+        pis_act = self.pis[act]
+        eta = np.multiply(self.E[:, act], pis_act, order="C")
         eta *= r[:, None]
         eta /= _pairwise_sum(list(eta.T))[:, None]
-        pis = self.pis[act] / self.pis[act].sum()
+        pis = pis_act / pis_act.sum()
+        log_pi = np.log(pis)
         maha = self.maha[:, act]
         wbar = self.kernel.weight_means(maha)
-        q_value = expected_log_terms(eta, np.log(pis), self.log_dets[act], wbar, maha)
+        q_value = expected_log_terms(eta, log_pi, self.log_dets[act], wbar, maha)
         self._measured = (act, pis, eta)
-        return _two_part_length(pis, q_value, self.m, self.n)
+        return _two_part_length(log_pi, q_value, self.m, self.n)
 
     def freeze(self) -> tuple:
         """Validated model, responsibilities and weights of the last measured state.

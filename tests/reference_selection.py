@@ -13,7 +13,8 @@ are checked too.
 
 :class:`MatrixRateEngine` is the package's engine with its carried gamma
 rates stored as one (n, K) matrix, the form that its per-component carried
-kernels replace; the two are compared bit for bit.
+kernels replace; the two are compared bit for bit, the reference factoring
+through LAPACK (:func:`lapack_factor`).
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ def _normalize(log_weighted):
     eta = np.exp(log_weighted - norm[:, None])
     eta /= eta.sum(axis=1, keepdims=True)
     return eta
+
+
+def lapack_factor(cov):
+    """Cholesky factor and log-determinant through LAPACK at every d, as the sweep factored before
+    its closed form at d = 2; a (d,) variance vector gives its standard deviations."""
+    if cov.ndim == 1:
+        return np.sqrt(cov), float(np.log(cov).sum())
+    chol = np.linalg.cholesky(cov)
+    return chol, 2.0 * float(np.log(np.diagonal(chol)).sum())
 
 
 class MatrixRateEngine(_SelectionEngine):

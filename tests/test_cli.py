@@ -481,6 +481,27 @@ class TestErrorHandling:
         assert code == 1
         assert f"error: {path} line 3:" in capsys.readouterr().err
 
+    def test_whole_number_side_cells_read_as_integers(self, tmp_path):
+        # As Dataset takes labels=[1.0] and outlier_flag=[1.0]; integer text stays exact beyond 2**53.
+        path = tmp_path / "whole.csv"
+        path.write_text(
+            "x1,x2,label,outlier\n0.0,1.0,1.0,0.0\n1.5,2.5,9007199254740993,1.0\n2.0,3.0,-1e0,1\n"
+        )
+        assert run_cli("fit", "--input", path, "--k", 1, "--out", tmp_path / "x") == 0
+        data = read_dataset_csv(path)
+        assert data.labels.tolist() == [1, 2**53 + 1, -1]
+        assert data.outlier_flag.tolist() == [False, True, True]
+
+    @pytest.mark.parametrize(
+        "column, bad", [("label", "1.5"), ("label", "abc"), ("outlier", "nan"), ("outlier", "0.5")]
+    )
+    def test_side_cell_not_a_whole_number_exits_one(self, column, bad, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,{column}\n0.0,1.0,0\n1.5,2.5,{bad}\n2.0,3.0,1\n")
+        code = run_cli("fit", "--input", path, "--k", 1, "--out", tmp_path / "x")
+        assert code == 1
+        assert f"error: {path} line 3: {column} '{bad}' is not a whole number" in capsys.readouterr().err
+
     def test_assignments_line_without_cluster_exits_one(self, fitted, small_csv, tmp_path, capsys):
         bad = tmp_path / "bad.assignments.csv"
         for line in ("1", "1,0,7"):  # one field too few, one too many

@@ -1,9 +1,11 @@
 """Validation, container, and serialization behaviour of the core types."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wdmix import (
     CovarianceShape,
@@ -17,7 +19,14 @@ from wdmix import (
     model_from_parameters,
     validate_dataset,
 )
-from wdmix.core import _factor_symmetric, as_dataset, factor_covariance, floored_covariance
+from wdmix.core import (
+    _broadcast,
+    _factor_symmetric,
+    as_dataset,
+    factor_covariance,
+    floored_covariance,
+    weighted_component,
+)
 from wdmix.errors import (
     DimensionMismatch,
     LengthMismatch,
@@ -240,6 +249,107 @@ class TestFactorisation:
             factor_covariance(cov)
         chol, _ = _factor_symmetric(cov)
         assert np.array_equal(chol, np.linalg.cholesky(cov))
+
+
+def _lapack_factor(cov):
+    """Today's LAPACK route at d = 2: the factor and log-det bytes, or the error raised."""
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return NonPositiveDefinite
+    return chol.tobytes(), 2.0 * float(np.log(np.diagonal(chol)).sum())
+
+
+def _closed_factor(cov):
+    try:
+        chol, log_det = _factor_symmetric(cov)
+    except NonPositiveDefinite:
+        return NonPositiveDefinite
+    assert chol.flags.c_contiguous and chol.dtype == np.float64
+    return chol.tobytes(), log_det
+
+
+def _same(got, want):
+    if want is NonPositiveDefinite or got is NonPositiveDefinite:
+        return got is want
+    return got[0] == want[0] and (got[1] == want[1] or math.isnan(got[1]) and math.isnan(want[1]))
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, -1.0, math.inf, -math.inf, math.nan])
+
+
+class TestClosedForm2x2:
+    """At d = 2 the factor is written out; it must equal ``np.linalg.cholesky`` bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-20.0, 20.0),
+        corr=st.floats(-1.0, 1.0),
+        off_sign=st.sampled_from([1.0, -1.0]),
+    )
+    @example(seed=0, log_scale=0.0, corr=0.0, off_sign=-1.0)  # a -0.0 off-diagonal
+    @example(seed=0, log_scale=0.0, corr=1.0, off_sign=1.0)  # singular up to rounding
+    @example(seed=0, log_scale=20.0, corr=-1.0 + 1e-15, off_sign=1.0)
+    def test_spd_matrices(self, seed, log_scale, corr, off_sign):
+        gen = np.random.default_rng(seed)
+        sd = math.exp(log_scale) * np.exp(gen.uniform(-1.0, 1.0, 2))
+        a21 = off_sign * (corr * sd[0] * sd[1])
+        cov = np.array([[sd[0] ** 2, a21], [a21, sd[1] ** 2]])
+        assert _same(_closed_factor(cov), _lapack_factor(cov))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a11=st.floats(allow_nan=True, allow_infinity=True) | _SPECIAL,
+        a21=st.floats(allow_nan=True, allow_infinity=True) | _SPECIAL,
+        a22=st.floats(allow_nan=True, allow_infinity=True) | _SPECIAL,
+    )
+    @example(a11=5e-324, a21=0.0, a22=1.0)  # a subnormal pivot
+    @example(a11=1.0, a21=math.inf, a22=1.0)  # an infinite a21: the second pivot is -inf
+    @example(a11=math.inf, a21=-1.0, a22=1.0)  # a zero reciprocal scales a21 to +0.0
+    @example(a11=math.nan, a21=1.0, a22=1.0)  # NaN passes on into the factor
+    @example(a11=-0.0, a21=0.0, a22=1.0)
+    def test_any_entries_and_errors(self, a11, a21, a22):
+        cov = np.array([[a11, 7.0], [a21, a22]])  # the upper triangle is never read
+        assert _same(_closed_factor(cov), _lapack_factor(cov))
+
+    def test_reads_the_lower_triangle_of_any_layout(self):
+        cov = np.asfortranarray([[4.0, 0.0], [1.0, 3.0]])
+        assert _same(_closed_factor(cov), _lapack_factor(np.ascontiguousarray(cov)))
+
+
+class TestMStepArithmetic:
+    """The sweep's M-step helpers give the bits of their plain forms."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_broadcast_equals_numpy_order(self, d):
+        gen = np.random.default_rng(d)
+        points, mean, w = gen.normal(size=(301, d)), gen.normal(size=d), gen.random(301)
+        for ufunc, other in ((np.subtract, mean[None, :]), (np.multiply, w[:, None])):
+            got = _broadcast(ufunc, points, other)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == ufunc(points, other).tobytes()
+
+    @pytest.mark.parametrize("shape", ["full", "diagonal"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_weighted_component_equals_written_out_form(self, shape, d):
+        gen = np.random.default_rng(7)
+        points, omega = gen.normal(size=(500, d)), gen.random(500)
+        mu, cov, diff = weighted_component(points, omega, omega.sum(), 300.0, CovarianceShape(shape), 1.0)
+        want_mu = omega @ points / omega.sum()
+        want_diff = points - want_mu
+        if shape == "full":
+            scatter = (want_diff * omega[:, None]).T @ want_diff / 300.0
+        else:
+            scatter = omega @ (want_diff * want_diff) / 300.0
+        assert mu.tobytes() == want_mu.tobytes()
+        assert diff.tobytes() == want_diff.tobytes()
+        assert cov.tobytes() == floored_covariance(scatter, 1.0).tobytes()
+
+    def test_floored_covariance_leaves_its_input_alone(self):
+        cov = np.asfortranarray([[2.0, 0.5], [0.5, 4.0]])
+        out = floored_covariance(cov, 1.0)
+        assert cov[0, 0] == 2.0 and out[0, 0] > 2.0 and out[1, 1] > 4.0
 
 
 

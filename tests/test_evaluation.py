@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from wdmix import (
@@ -129,6 +130,29 @@ class TestMicroF1:
         # Matching: cluster 1 -> class 1 (4 points), then 0 or 3 -> class 0 (2).
         # tp = 6, fp = 0, fn = 2 -> F1 = 12 / 14.
         assert micro_f1(pred, true) == pytest.approx(12.0 / 14.0)
+
+    def test_tied_matchings_score_the_same_under_relabelling(self):
+        # Clusters 0 and 1 overlap class 0 equally (5 points); matching cluster
+        # 0 would count its 2 class-1 points as false positives.  Before ties
+        # went by fewest false positives, swapping ids 0 and 1 scored 0.64.
+        pred = np.array([0] * 7 + [1] * 5 + [2] * 3)
+        true = np.array([0] * 5 + [1] * 2 + [0] * 5 + [1] * 3)
+        swapped = np.array([1, 0, 2])[pred]
+        assert micro_f1(pred, true) == micro_f1(swapped, true) == pytest.approx(16.0 / 23.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pred=st.lists(st.integers(0, 4), min_size=1, max_size=30),
+        data=st.data(),
+    )
+    def test_invariant_under_relabelling(self, pred, data):
+        true = data.draw(st.lists(st.integers(0, 3), min_size=len(pred), max_size=len(pred)))
+        sigma = data.draw(st.permutations(range(5)))
+        tau = data.draw(st.permutations(range(4)))
+        pred, true = np.array(pred), np.array(true)
+        base = micro_f1(pred, true)
+        assert micro_f1(np.array(sigma)[pred], true) == base
+        assert micro_f1(pred, np.array(tau)[true]) == base
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

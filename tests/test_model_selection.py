@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reference_selection import MatrixRateEngine, reference_select_model
+from reference_selection import MatrixRateEngine, lapack_factor, reference_select_model
 from wdmix import (
     CovarianceShape,
     GaussianComponent,
@@ -25,7 +25,6 @@ from wdmix import (
     validate_dataset,
 )
 from wdmix import model_selection
-from wdmix.core import factor_covariance
 from wdmix.densities import normalize_log_responsibilities
 from wdmix.model_selection import _SHIFT_MARGIN, _SelectionEngine
 from wdmix.errors import (
@@ -35,6 +34,7 @@ from wdmix.errors import (
     EmptyCluster,
     EmptyInput,
     LengthMismatch,
+    NaNInput,
     NonPositiveShape,
     NonPositiveWeight,
 )
@@ -65,6 +65,12 @@ class TestTruncatedProportions:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             truncated_proportions([], 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sum_rejected(self, bad):
+        # Unchecked, [nan, 10] gave [nan, nan] under a RuntimeWarning and [inf, 10] gave [nan, 0].
+        with pytest.raises(NaNInput):
+            truncated_proportions([bad, 10.0], 2)
 
 
 def _manual_length(points, model, eta, wbar):
@@ -448,13 +454,25 @@ def _assert_same_bits(got, want):
 
 
 class TestSameBitsAsMatrixRates:
-    """Per-component carried-rate kernels and the unchecked factorisation change no bit.
+    """Per-component carried-rate kernels and the sweep's own factorisation change no bit.
 
     The reference run swaps in :class:`reference_selection.MatrixRateEngine`,
     which keeps the carried rates in one (n, K) matrix and rebuilds a kernel
     at every column recomputation, and factors every M-step covariance
-    through the validating :func:`factor_covariance`.
+    through ``np.linalg.cholesky`` (:func:`reference_selection.lapack_factor`),
+    where the sweep writes out the 2 x 2 factor.  The d = 3 case runs each
+    d rule's other side: LAPACK, and NumPy's own broadcast order.
     """
+
+    @staticmethod
+    def _pair(monkeypatch, data, config, **kwargs):
+        got = select_model(data, config, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_selection, "_SelectionEngine", MatrixRateEngine)
+            patch.setattr(model_selection, "_factor_symmetric", lapack_factor)
+            want = select_model(data, config, **kwargs)
+        _assert_same_bits(got, want)
+        return got
 
     @pytest.mark.parametrize("shape", ["full", "diagonal"])
     @pytest.mark.parametrize("mode", ["random", "fixed"])
@@ -462,23 +480,20 @@ class TestSameBitsAsMatrixRates:
         # n * K+ = 36,000: past NumPy's 256 KiB temporary-elision threshold.
         data = generate_sim("easy", 2400, seed=3)
         config = MmlConfig(k_high=15, weight_mode=mode, max_outer_iter=8)
-        got = select_model(data, config, covariance_shape=shape, seed=1, restarts=1)
-        with monkeypatch.context() as patch:
-            patch.setattr(model_selection, "_SelectionEngine", MatrixRateEngine)
-            patch.setattr(model_selection, "_factor_symmetric", factor_covariance)
-            want = select_model(data, config, covariance_shape=shape, seed=1, restarts=1)
+        got = self._pair(monkeypatch, data, config, covariance_shape=shape, seed=1, restarts=1)
         assert got.kplus_history[0] == 15 and got.iterations == 8
-        _assert_same_bits(got, want)
 
     def test_converged_selection_with_annihilations(self, monkeypatch, small_contaminated):
-        config = MmlConfig(k_high=8)
-        got = select_model(small_contaminated, config, seed=2, restarts=3)
-        with monkeypatch.context() as patch:
-            patch.setattr(model_selection, "_SelectionEngine", MatrixRateEngine)
-            patch.setattr(model_selection, "_factor_symmetric", factor_covariance)
-            want = select_model(small_contaminated, config, seed=2, restarts=3)
+        got = self._pair(monkeypatch, small_contaminated, MmlConfig(k_high=8), seed=2, restarts=3)
         assert got.converged and got.annihilation_log
-        _assert_same_bits(got, want)
+
+    def test_three_dimensional_selection(self, monkeypatch):
+        gen = np.random.default_rng(5)
+        centres = np.array([[0.0, 0.0, 0.0], [8.0, 0.0, 2.0], [0.0, 9.0, -3.0]])
+        points = np.vstack([gen.normal(c, 1.0, size=(150, 3)) for c in centres])
+        data = contaminate_uniform(validate_dataset(points, labels=np.repeat([0, 1, 2], 150)), 0.2, seed=6)
+        got = self._pair(monkeypatch, data, MmlConfig(k_high=6), seed=3, restarts=2)
+        assert got.converged and got.annihilation_log and got.final_model.d == 3
 
 
 def _cache_engine():
