@@ -82,6 +82,8 @@ def read_dataset_csv(path) -> Dataset:
         if not header:
             raise WdmixError(f"{path}: empty dataset file")
         names = header.split(",")
+        if len(set(names)) < len(names):
+            raise WdmixError(f"{path} line 1: a column name appears twice")
         feature_idx = [i for i, name in enumerate(names) if name.startswith("x") and name[1:].isdigit()]
         if not feature_idx:
             raise WdmixError(f"{path}: no feature columns named x1..xd")
@@ -93,8 +95,10 @@ def read_dataset_csv(path) -> Dataset:
             line = line.strip()
             if not line:
                 continue
+            if "_" in line:  # float() and int() would read 1_5 as 15
+                raise NonRectangular(f"{path} line {lineno}: '_' in a value")
             parts = line.split(",")
-            if len(parts) > len(names):
+            if len(parts) != len(names):
                 raise NonRectangular(f"{path} line {lineno}: {len(parts)} fields under {len(names)} header columns")
             try:
                 points.append([float(parts[i]) for i in feature_idx])
@@ -106,8 +110,8 @@ def read_dataset_csv(path) -> Dataset:
                     flags.append(_whole_number(parts[outlier_idx], "outlier", path, lineno))
             except WdmixError:
                 raise
-            except (IndexError, ValueError):
-                raise NonRectangular(f"{path} line {lineno}: too few fields or a non-numeric value") from None
+            except ValueError:
+                raise NonRectangular(f"{path} line {lineno}: a non-numeric value") from None
             if labels and not -(2**63) <= labels[-1] < 2**63:
                 raise NonRectangular(f"{path} line {lineno}: label {labels[-1]} does not fit in 64 bits")
             if modality and modality[-1] not in ("a", "v") or flags and flags[-1] not in (0, 1):
@@ -175,6 +179,8 @@ def read_assignments_csv(path) -> np.ndarray:
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
+            if "_" in line:
+                raise NonRectangular(f"{path} line {lineno}: '_' in a value")
             try:
                 index, cluster = (int(field) for field in line.split(","))
             except ValueError:

@@ -471,6 +471,26 @@ class TestErrorHandling:
         assert f"error: {bad} line 3:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "header, row",
+        [("x1,x2,label", "1_5,2.5,0"), ("x1,x2,label", "1.5,2.5,1_0"), ("x1,x2,note", "1.5,2.5")],
+        ids=["feature_underscore", "label_underscore", "short_of_an_unused_column"],
+    )
+    def test_dataset_row_the_parsers_would_misread_exits_one(self, header, row, tmp_path, capsys):
+        # float() and int() read 1_5 as 15; a short row used to read when only unused columns were missing.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n0.0,1.0,0\n{row}\n2.0,3.0,1\n")
+        code = run_cli("fit", "--input", bad, "--k", 1, "--out", tmp_path / "x")
+        assert code == 1
+        assert f"error: {bad} line 3:" in capsys.readouterr().err
+
+    def test_header_naming_a_column_twice_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,label,label\n0.0,1.0,0,1\n1.5,2.5,1,0\n")
+        code = run_cli("fit", "--input", bad, "--k", 1, "--out", tmp_path / "x")
+        assert code == 1
+        assert f"error: {bad} line 1: a column name appears twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "column, good, bad", [("outlier", "0", "2"), ("modality", "a", "audio")], ids=["flag_2", "long_tag"]
     )
     def test_side_cell_a_cast_would_change_exits_one(self, column, good, bad, tmp_path, capsys):
@@ -512,6 +532,15 @@ class TestErrorHandling:
             )
             assert code == 1
             assert f"error: {bad} line 3:" in capsys.readouterr().err
+
+    def test_assignments_underscore_exits_one(self, fitted, small_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.assignments.csv"
+        bad.write_text("index,cluster\n0,1\n1,1_0\n")  # int() reads 1_0 as 10
+        code = run_cli(
+            "evaluate", "--model", f"{fitted}.model.json", "--assignments", bad, "--truth", small_csv,
+        )
+        assert code == 1
+        assert f"error: {bad} line 3: '_' in a value" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rows", ["0,1\n7,1\n7,0", "0,1\n2,0\n1,0", "foo,2"], ids=["repeated", "reordered", "non_numeric"]
@@ -835,6 +864,7 @@ class TestFuzzMain:
     @_FUZZ
     @given(edits=st.lists(st.tuples(st.integers(0, 200), st.none() | _ASSIGNMENT_LINES), min_size=1, max_size=4))
     @example(edits=[(1, "0,99999999999999999999")])  # line 0 is the header
+    @example(edits=[(1, "0,1_0")])  # read as cluster 10
     def test_assignments(self, tiny_fit, edits):
         data, prefix = tiny_fit
         lines = Path(f"{prefix}.assignments.csv").read_text().splitlines()
@@ -898,6 +928,8 @@ class TestFuzzMain:
     @example(edits=[(5, 2, "set", "99999999999999999999")], command="fit")  # a label beyond int64
     @example(edits=[(5, 2, "set", "99999999999999999999")], command="evaluate")
     @example(edits=[(5, 3, "set", "2")], command="fit")  # an outlier flag other than 0 or 1
+    @example(edits=[(5, 0, "set", "1_5")], command="fit")  # read as 15.0
+    @example(edits=[(5, 2, "set", "1_0")], command="evaluate")  # read as label 10
     def test_dataset_csv(self, tiny_fit, edits, command):
         data, prefix = tiny_fit
         lines = Path(data).read_text().splitlines()
