@@ -33,7 +33,7 @@ from .core import (
     validate_dataset,
 )
 from .datagen import PROFILE_NAMES, contaminate_uniform, generate_sim
-from .errors import DimensionTooHigh, MalformedModel, NonRectangular, WdmixError
+from .errors import DimensionMismatch, DimensionTooHigh, MalformedModel, NonRectangular, WdmixError
 from .evaluation import davies_bouldin, micro_f1, outlier_score_report
 from .initialization import default_weights, kmeans, model_from_labels
 from .model_selection import MmlConfig, select_model
@@ -374,6 +374,8 @@ def _cmd_evaluate(args) -> int:
     with open(args.model) as handle:
         payload = json.load(handle)
     model = MixtureModel.from_dict(payload)
+    if model.d != dataset.d:
+        raise DimensionMismatch(f"the model is {model.d}-D but the data are {dataset.d}-D")
     if args.assignments:
         assignments = read_assignments_csv(args.assignments)
         if assignments.shape[0] != dataset.n:

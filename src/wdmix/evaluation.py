@@ -30,6 +30,8 @@ def davies_bouldin(points, labels, centers) -> float:
     cen = np.asarray(centers, dtype=np.float64)
     if labs.shape[0] != pts.shape[0]:
         raise LengthMismatch("labels and points disagree in length")
+    if cen.ndim != 2 or cen.shape[1:] != pts.shape[1:]:
+        raise DimensionMismatch(f"centers must be shaped (K, d) for points shaped {pts.shape}")
     k = cen.shape[0]
     if k < 2:
         raise SingleCluster("Davies-Bouldin needs at least two clusters")
@@ -51,6 +53,58 @@ def davies_bouldin(points, labels, centers) -> float:
     return float(np.mean(worst))
 
 
+def _max_assignment(profit) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a one-to-one matching with the largest total profit.
+
+    Kuhn's Hungarian method as shortest augmenting paths with row and column
+    potentials, one path per row of the shorter side, in int64.  It matches
+    min(r, c) pairs, each row and column at most once, and its total equals
+    that of ``scipy.optimize.linear_sum_assignment(profit, maximize=True)``.
+    Exact for integer entries whose spread (max - min) times
+    2 min(r, c) + 2 is below 2**63, which bounds every potential and reduced
+    cost; a wider spread raises WdmixError rather than wrapping.
+    """
+    gain = np.asarray(profit)
+    flip = gain.shape[0] > gain.shape[1]
+    if flip:
+        gain = gain.T
+    r, c = gain.shape
+    top = int(gain.max())
+    if (top - int(gain.min())) * (2 * r + 2) >= 2**63:
+        raise WdmixError("assignment profits span too wide a range for exact int64 matching")
+    cost = (top - gain).astype(np.int64)
+    never = np.iinfo(np.int64).max
+    # Column 0 is a virtual start; row_of[j] is the 1-based row matched to column j.
+    u = np.zeros(r + 1, dtype=np.int64)
+    v = np.zeros(c + 1, dtype=np.int64)
+    row_of = np.zeros(c + 1, dtype=np.int64)
+    for i in range(1, r + 1):
+        row_of[0] = i
+        dist = np.full(c + 1, never, dtype=np.int64)
+        way = np.zeros(c + 1, dtype=np.int64)
+        seen = np.zeros(c + 1, dtype=bool)
+        j = 0
+        while row_of[j]:
+            seen[j] = True
+            row = row_of[j]
+            reduced = cost[row - 1] - u[row] - v[1:]
+            closer = ~seen[1:] & (reduced < dist[1:])
+            dist[1:][closer] = reduced[closer]
+            way[1:][closer] = j
+            step = np.where(seen, never, dist)
+            j = int(np.argmin(step))
+            delta = step[j]
+            u[row_of[seen]] += delta
+            v[seen] -= delta
+            dist[~seen] -= delta
+        while j:
+            row_of[j] = row_of[way[j]]
+            j = way[j]
+    cols = np.flatnonzero(row_of[1:])
+    rows = row_of[1:][cols] - 1
+    return (cols, rows) if flip else (rows, cols)
+
+
 def micro_f1(predicted, true) -> float:
     """Micro-averaged F1 after matching clusters to classes one-to-one.
 
@@ -59,9 +113,6 @@ def micro_f1(predicted, true) -> float:
     false positives, so the score does not depend on the cluster ids.  With
     single-label data and a full matching this equals plain accuracy.
     """
-    # scipy.optimize adds about 0.1 s to a cold import; only F1 needs it.
-    from scipy.optimize import linear_sum_assignment
-
     pred = np.asarray(predicted).ravel()
     truth = np.asarray(true).ravel()
     if pred.shape[0] != truth.shape[0] or pred.shape[0] == 0:
@@ -71,10 +122,12 @@ def micro_f1(predicted, true) -> float:
     contingency = np.zeros((clusters.size, classes.size), dtype=np.int64)
     np.add.at(contingency, (pred_idx, true_idx), 1)
     # Overlap first, then the matched cluster's misses: c (n + 1) - (row sum - c),
-    # where the misses of any matching total at most n.
+    # where the misses of any matching total at most n.  In Python ints, so a
+    # profit too large for int64 reaches the solver's range check unwrapped.
     n = int(contingency.sum())
-    misses = contingency.sum(axis=1, keepdims=True) - contingency
-    rows, cols = linear_sum_assignment(contingency * (n + 1) - misses, maximize=True)
+    counts = contingency.astype(object)
+    misses = counts.sum(axis=1, keepdims=True) - counts
+    rows, cols = _max_assignment(counts * (n + 1) - misses)
     tp = int(contingency[rows, cols].sum())
     # Every point whose true class is not hit counts as one false negative;
     # points in matched clusters that miss additionally count as one false

@@ -348,6 +348,19 @@ class TestEvaluate:
         assert text.startswith("<svg")
         assert "ellipse" in text
 
+    @pytest.mark.parametrize("flags", [("--metrics", "db", "--assignments"), ("--metrics", "f1", "--plot")])
+    def test_model_of_another_dimension_exits_one(self, flags, fitted, small_csv, tmp_path, capsys):
+        # A 3-D model on 2-D data: db died with a raw ValueError, and f1
+        # exited 0 with a plot of the components' first two coordinates.
+        model = model_from_parameters([np.zeros(3), np.full(3, 8.0)], [np.eye(3), np.eye(3)], [0.5, 0.5])
+        model_path = tmp_path / "d3.model.json"
+        model_path.write_text(json.dumps({**model.to_dict(), "fit": {"algorithm": "gmm", "seed": 0}}))
+        target = f"{fitted}.assignments.csv" if flags[-1] == "--assignments" else tmp_path / "d3.svg"
+        code = run_cli("evaluate", "--model", model_path, "--truth", small_csv, *flags, target)
+        assert code == 1
+        assert "error: the model is 3-D but the data are 2-D" in capsys.readouterr().err
+        assert not (tmp_path / "d3.svg").exists()
+
     def test_plot_skipped_for_higher_dimensions(self, tmp_path, capsys):
         # Hand-written 5-D dataset and a matching model: the metrics still
         # come out but the plot is skipped with a warning.
@@ -952,6 +965,8 @@ class TestFuzzMain:
     @example(path=("fit", "algorithm"), value=[[1, 2], [3]], with_assignments=False)
     @example(path=("fit", "q"), value=math.inf, with_assignments=False)  # float infinity to integer
     @example(path=("fit", "q"), value=-math.inf, with_assignments=False)
+    @example(path=("components",), value=[{"mean": [0.0] * 3, "covariance": np.eye(3).tolist()}] * 3,
+             with_assignments=True)  # a 3-D model on 2-D data: a raw ValueError
     def test_model(self, tiny_fit, path, value, with_assignments):
         data, prefix = tiny_fit
         payload = json.loads(Path(f"{prefix}.model.json").read_text())

@@ -1,8 +1,11 @@
 """Clustering metrics: Davies-Bouldin, matched micro-F1, outlier scoring."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import rankdata
 
 from wdmix import (
@@ -19,7 +22,7 @@ from wdmix.errors import (
     SingleCluster,
     WdmixError,
 )
-from wdmix.evaluation import _average_ranks
+from wdmix.evaluation import _average_ranks, _max_assignment
 
 
 class TestDaviesBouldin:
@@ -87,6 +90,13 @@ class TestDaviesBouldin:
         with pytest.raises(LengthMismatch):
             davies_bouldin(np.zeros((3, 1)), np.zeros(2, int), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3), (2,)])
+    def test_centers_not_shaped_k_by_d_rejected(self, shape):
+        # (2, 2, 2) centres returned nan, and (2, 3) a broadcasting ValueError.
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
+        with pytest.raises(DimensionMismatch):
+            davies_bouldin(points, [0, 0, 1, 1], np.arange(np.prod(shape), dtype=float).reshape(shape))
+
     @pytest.mark.parametrize("stray", [7, 2, -1])
     def test_labels_outside_center_range_rejected(self, stray):
         # Such a point used to be dropped silently, leaving the index at 0.1.
@@ -95,6 +105,76 @@ class TestDaviesBouldin:
         assert davies_bouldin(points[:4], [0, 0, 1, 1], centers) == pytest.approx(0.1)
         with pytest.raises(DimensionMismatch):
             davies_bouldin(points, [0, 0, 1, 1, stray], centers)
+
+
+def _widest_spread(shape) -> int:
+    """The largest max - min that ``_max_assignment`` takes on a matrix of ``shape``."""
+    return (2**63 - 1) // (2 * min(shape) + 2)
+
+
+def _matching_total(profit, rows, cols) -> int:
+    """Total profit of a matching of min(r, c) pairs, each row and column used once."""
+    rows, cols = np.asarray(rows).tolist(), np.asarray(cols).tolist()
+    assert len(rows) == len(cols) == min(profit.shape)
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    return sum(int(profit[i, j]) for i, j in zip(rows, cols))
+
+
+def _brute_force_total(profit) -> int:
+    """Largest total over every matching of the shorter side, in Python ints."""
+    if profit.shape[0] > profit.shape[1]:
+        profit = profit.T
+    r, c = profit.shape
+    return max(sum(int(profit[i, j]) for i, j in enumerate(cols)) for cols in permutations(range(c), r))
+
+
+_SHAPES = st.tuples(st.integers(1, 8), st.integers(1, 8))
+
+
+class TestMaxAssignment:
+    @settings(max_examples=300, deadline=None)
+    @given(shape=_SHAPES, top=st.sampled_from([0, 1, 3, 10**6, 10**12]), data=st.data())
+    @example(shape=(1, 6), top=3, data=None)
+    @example(shape=(6, 1), top=3, data=None)
+    def test_total_is_the_optimum(self, shape, top, data):
+        # Small tops make tied optima common; top 0 is a matrix of ties.
+        size = shape[0] * shape[1]
+        entries = (
+            data.draw(st.lists(st.integers(-top, top), min_size=size, max_size=size))
+            if data else list(range(-top, size - top))
+        )
+        profit = np.array(entries, dtype=np.int64).reshape(shape)
+        got = _matching_total(profit, *_max_assignment(profit))
+        assert got == _matching_total(profit, *linear_sum_assignment(profit, maximize=True))
+        if max(shape) <= 5:
+            assert got == _brute_force_total(profit)
+        assert _matching_total(profit.T, *_max_assignment(profit.T)) == got
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5)), data=st.data())
+    def test_exact_at_the_widest_spread(self, shape, data):
+        # Entries far beyond float64's 2**53, where SciPy's float matching is
+        # no oracle: the brute force in Python ints is.
+        spread = _widest_spread(shape)
+        low = data.draw(st.integers(-(2**63), 2**63 - 1 - spread))
+        size = shape[0] * shape[1]
+        offsets = data.draw(
+            st.lists(st.sampled_from([0, 1, spread // 2, spread - 1, spread]), min_size=size, max_size=size)
+        )
+        offsets[0], offsets[-1] = 0, spread
+        profit = (np.array(offsets, dtype=np.int64) + np.int64(low)).reshape(shape)
+        assert _matching_total(profit, *_max_assignment(profit)) == _brute_force_total(profit)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 4), (4, 1), (3, 5), (5, 3)])
+    def test_spread_past_the_bound_raises(self, shape):
+        profit = np.zeros(shape, dtype=np.int64)
+        profit[-1, -1] = _widest_spread(shape)
+        assert _matching_total(profit, *_max_assignment(profit)) == profit[-1, -1]
+        profit[-1, -1] += 1
+        with pytest.raises(WdmixError, match="too wide"):
+            _max_assignment(profit)
+        with pytest.raises(WdmixError, match="too wide"):
+            _max_assignment(-profit)
 
 
 class TestMicroF1:

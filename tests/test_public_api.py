@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import wdmix
+from wdmix import cli
 
 PUBLIC_NAMES = [
     "AnnihilationEvent", "AvConfig", "AvSegmentResult", "ComponentTag", "CovarianceShape",
@@ -175,22 +176,30 @@ _LOADED = "[m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimi
 
 def test_import_loads_no_scipy_stats_or_optimize():
     # Every CLI command is a fresh process: scipy.stats alone doubled the
-    # cold import time, and only micro_f1 needs scipy.optimize.
+    # cold import time, and scipy.optimize cost about 0.1 s and 10 MB.
     loaded = _fresh_interpreter(
         f"import json, sys; import wdmix, wdmix.cli; print(json.dumps({_LOADED}))"
     )
     assert loaded == []
 
 
-def test_micro_f1_loads_scipy_optimize_on_first_call():
-    loaded, f1 = _fresh_interpreter(
-        "import json, sys; import wdmix; "
+def test_micro_f1_and_evaluate_load_no_scipy_stats_or_optimize(tmp_path):
+    # The cluster-to-class matching is NumPy's, so scoring F1 loads neither.
+    data, prefix = tmp_path / "tiny.csv", tmp_path / "run"
+    assert cli.main(["generate", "--profile", "easy", "--n", "62", "--outlier-fraction", "0.3",
+                     "--seed", "0", "--out", str(data)]) == 0
+    assert cli.main(["fit", "--input", str(data), "--k", "3", "--seed", "0", "--out", str(prefix)]) == 0
+    evaluate = ["evaluate", "--model", f"{prefix}.model.json", "--truth", str(data),
+                "--report", f"{prefix}.report.json", "--metrics", "db,f1,outliers", "--out", str(tmp_path / "m.json")]
+    after_f1, f1, status, loaded = _fresh_interpreter(
+        "import json, sys; import wdmix, wdmix.cli; "
         "f1 = wdmix.micro_f1([0, 0, 3, 3, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1]); "
-        f"print(json.dumps([{_LOADED}, f1]))"
+        f"after_f1 = {_LOADED}; status = wdmix.cli.main({evaluate!r}); "
+        f"print(json.dumps([after_f1, f1, status, {_LOADED}]))"
     )
-    assert "scipy.optimize" in loaded
-    assert not any(m.startswith("scipy.stats") for m in loaded)
-    assert f1 == 12.0 / 14.0
+    assert after_f1 == [] and f1 == 12.0 / 14.0
+    assert status == 0 and loaded == []
+    assert set(json.loads((tmp_path / "m.json").read_text())) >= {"db_all", "micro_f1", "outliers"}
 
 
 def _private(name: str) -> bool:
