@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -34,11 +35,11 @@ _SYMMETRY_RTOL = 1e-12
 _PROPORTION_ATOL = 1e-10
 
 # Side arrays: dtype, the test a value passes when the cast keeps it, the rule, the error.
-_SIDE_ARRAYS = (
-    ("labels", np.int64, lambda v: int(v) == v and -(2**63) <= v < 2**63, "whole numbers in int64", NonRectangular),
-    ("modality", "U1", lambda v: v in ("a", "v"), "'a' or 'v'", LengthMismatch),
-    ("outlier_flag", bool, lambda v: v in (0, 1), "booleans, 0 or 1", NonRectangular),
-)
+_SIDE_ARRAYS = {
+    "labels": (np.int64, lambda v: int(v) == v and -(2**63) <= v < 2**63, "whole numbers in int64", NonRectangular),
+    "modality": ("U1", lambda v: v in ("a", "v"), "'a' or 'v'", LengthMismatch),
+    "outlier_flag": (bool, lambda v: v in (0, 1), "booleans, 0 or 1", NonRectangular),
+}
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -93,21 +94,9 @@ class Dataset:
             raise NaNInput("points contain NaN or infinite entries")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        n = pts.shape[0]
-        for name, dtype, keeps, rule, error in _SIDE_ARRAYS:
-            if getattr(self, name) is None:
-                continue
-            try:
-                raw = np.asarray(getattr(self, name))
-                bad = [v for v in dict.fromkeys(raw.ravel().tolist()) if not keeps(v)]
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise NonRectangular(f"{name} do not convert to {np.dtype(dtype)}: {exc}") from None
-            if bad:
-                raise error(f"{name} must be {rule}, got {bad[0]!r}")
-            side = _frozen_array(raw, dtype)
-            if side.shape != (n,):
-                raise LengthMismatch(f"{name} has length {side.shape}, expected ({n},)")
-            object.__setattr__(self, name, side)
+        for name in _SIDE_ARRAYS:
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _side_array(name, getattr(self, name), pts.shape[0]))
 
     @property
     def n(self) -> int:
@@ -116,6 +105,42 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+
+def _side_array(name: str, values, n: int) -> np.ndarray:
+    """``values`` as :class:`Dataset`'s read-only (n,) side array ``name``; an error if the cast changes a value."""
+    dtype, keeps, rule, error = _SIDE_ARRAYS[name]
+    try:
+        raw = np.asarray(values)
+        bad = [v for v in dict.fromkeys(raw.ravel().tolist()) if not keeps(v)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NonRectangular(f"{name} do not convert to {np.dtype(dtype)}: {exc}") from None
+    if bad:
+        raise error(f"{name} must be {rule}, got {bad[0]!r}")
+    side = _frozen_array(raw, dtype)
+    if side.shape != (n,):
+        raise LengthMismatch(f"{name} has length {side.shape}, expected ({n},)")
+    return side
+
+
+def cluster_labels(labels, n: int) -> np.ndarray:
+    """``labels`` as (n,) int64 cluster ids, else LengthMismatch (not shaped (n,)), NonRectangular
+    (not whole numbers in int64, by :class:`Dataset`'s label check) or DimensionMismatch (below 0)."""
+    raw = np.asarray(labels)
+    out = raw.astype(np.int64, copy=False) if raw.dtype.kind == "i" else _side_array("labels", raw, n)
+    if out.shape != (n,):
+        raise LengthMismatch(f"labels have shape {out.shape}, expected ({n},)")
+    if out.min() < 0:
+        raise DimensionMismatch(f"labels must be cluster ids >= 0, got {out.min()}")
+    return out
+
+
+def as_integer(value, name: str, error: type[Exception]) -> int:
+    """``value`` by the ``operator.index`` rule (Python and NumPy integers), else ``error`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 def validate_dataset(points, labels=None, modality=None, outlier_flag=None) -> Dataset:
@@ -547,7 +572,7 @@ class FitConfig:
     rel_tol: float = 0.01
 
     def __post_init__(self):
-        if self.max_iter < 0:
+        if as_integer(self.max_iter, "max_iter", DimensionMismatch) < 0:
             raise DimensionMismatch("max_iter must be >= 0")
         if not self.rel_tol >= 0.0:
             raise DimensionMismatch("rel_tol must be >= 0")

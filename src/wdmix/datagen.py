@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import Dataset, validate_dataset
+from .core import Dataset, as_integer, validate_dataset
 from .errors import DimensionMismatch, NonPositiveArgument
 
 PROFILE_NAMES = ("easy", "unbalanced", "overlapped", "mixed")
@@ -47,7 +47,7 @@ def generate_sim(profile: str, n_inliers: int = 600, seed=None) -> Dataset:
     Component counts are multinomial in the profile weights; rows are
     shuffled so labels are not grouped.  All points are flagged as inliers.
     """
-    if n_inliers < 1:
+    if as_integer(n_inliers, "n_inliers", NonPositiveArgument) < 1:
         raise NonPositiveArgument("n_inliers must be positive")
     weights, means, covs = profile_parameters(profile)
     rng = np.random.default_rng(seed)

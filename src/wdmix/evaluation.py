@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightMode, WeightState
+from .core import WeightMode, WeightState, cluster_labels
 from .errors import (
     DimensionMismatch,
     EmptyCluster,
@@ -26,16 +26,14 @@ def davies_bouldin(points, labels, centers) -> float:
     index rather than an error; a label outside [0, K) is an error.
     """
     pts = np.asarray(points, dtype=np.float64)
-    labs = np.asarray(labels, dtype=np.int64)
+    labs = cluster_labels(labels, pts.shape[0])
     cen = np.asarray(centers, dtype=np.float64)
-    if labs.shape[0] != pts.shape[0]:
-        raise LengthMismatch("labels and points disagree in length")
     if cen.ndim != 2 or cen.shape[1:] != pts.shape[1:]:
         raise DimensionMismatch(f"centers must be shaped (K, d) for points shaped {pts.shape}")
     k = cen.shape[0]
     if k < 2:
         raise SingleCluster("Davies-Bouldin needs at least two clusters")
-    if np.any((labs < 0) | (labs >= k)):
+    if labs.max() >= k:
         raise DimensionMismatch(f"labels must lie in [0, {k}) for {k} centers")
     scatter = np.empty(k)
     for j in range(k):

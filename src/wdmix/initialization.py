@@ -16,6 +16,8 @@ from .core import (
     MixtureModel,
     WeightMode,
     as_dataset,
+    as_integer,
+    cluster_labels,
     data_scale,
     floored_covariance,
 )
@@ -126,6 +128,7 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
     """
     points = as_dataset(data).points
     n = points.shape[0]
+    k, restarts = as_integer(k, "k", KTooLarge), as_integer(restarts, "restarts", NonPositiveArgument)
     if k < 1 or k > n:
         raise KTooLarge(f"cannot place {k} clusters on {n} points")
     if restarts < 1:
@@ -152,12 +155,12 @@ def model_from_labels(data, labels, covariance_shape=CovarianceShape.FULL) -> Mi
 
     Proportions are cluster fractions, means are cluster means, covariances
     are within-cluster maximum-likelihood covariances with the diagonal
-    ridge applied.  Raises EmptyCluster when a label in the range has no
-    members.
+    ridge applied.  Labels are checked by :func:`core.cluster_labels`, and
+    a label in their range with no members raises EmptyCluster.
     """
     points = as_dataset(data).points
-    labels = np.asarray(labels, dtype=np.int64)
     n = points.shape[0]
+    labels = cluster_labels(labels, n)
     k = int(labels.max()) + 1
     global_scale = data_scale(points)
     means, covs, props = [], [], []
@@ -199,7 +202,7 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
     """
     points = as_dataset(data).points
     n = points.shape[0]
-    if q < 1 or q >= n:
+    if as_integer(q, "q", QTooLarge) < 1 or q >= n:
         raise QTooLarge(f"q={q} needs 1 <= q <= n-1 with n={n}")
     if not bandwidth > 0.0:
         raise NonPositiveWeight("bandwidth must be positive")

@@ -26,6 +26,7 @@ from .core import (
     WeightState,
     _factor_symmetric,
     as_dataset,
+    as_integer,
     data_scale,
     weighted_component,
 )
@@ -59,6 +60,8 @@ class MmlConfig:
     assignment_rates: str = "carried"
 
     def __post_init__(self):
+        for name in ("k_high", "k_low", "max_outer_iter"):
+            as_integer(getattr(self, name), name, DimensionMismatch)
         if not 1 <= self.k_low <= self.k_high:
             raise DimensionMismatch("need 1 <= k_low <= k_high")
         if not self.epsilon >= 0.0 or self.max_outer_iter < 0:

@@ -1,11 +1,16 @@
-"""The paired-runs verdict that tools/bench_pairs.py writes into BENCH_<pr>.json."""
+"""tools/bench_pairs.py without its processes: the pair order, and the scoring it writes into BENCH_<pr>.json."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+_PATH = ROOT / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
@@ -65,3 +70,70 @@ def test_src_lines_counts_the_package_modules_only(tmp_path):
     (package / "data" / "c.py").write_text("skipped\n")
     (package / "notes.txt").write_text("skipped\n")
     assert bench_pairs.src_lines(tmp_path) == 4
+
+
+def test_score_is_bench_pairs_summary_and_verdict(monkeypatch):
+    calls = []
+    verdict = bench_pairs.verdict
+
+    def spy(*args):
+        calls.append(args)
+        return verdict(*args)
+
+    monkeypatch.setattr(bench_pairs, "verdict", spy)
+    base = [0.10, 0.12, 0.11, 0.13, 0.20]
+    head = [0.09, 0.10, 0.12, 0.10, 0.15]
+    got = bench_pairs.score(base, head, "lower", 0.25)
+    assert calls == [(bench_pairs.summary(base), bench_pairs.summary(head), 4, 5, "lower", 0.25)]
+    assert got["base"]["median"] == 0.12
+    assert (got["base"]["q1"], got["base"]["q3"]) == (pytest.approx(0.11), pytest.approx(0.13))
+    assert got["head"]["median"] == 0.10
+    assert got["median_gap_rel"] == pytest.approx(-1.0 / 6.0)
+    assert got["head_wins"] == 4  # round 2 went to the base
+    assert not got["gain_rule_met"]  # 4/5 rounds
+    assert bench_pairs.summary_line("fit_d8", {"unit_ms": got}) == "fit_d8: unit_ms -16.7% wins 4"
+
+
+def test_a_tie_is_no_win():
+    assert bench_pairs.score([0.1, 0.2], [0.1, 0.2], "lower", 0.25)["head_wins"] == 0
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=20).flatmap(
+    lambda values: st.tuples(st.just(values), st.permutations(values))
+))
+def test_a_a_rounds_never_meet_the_gain_rule(rounds):
+    # The same figures in any round order: equal medians, so no gain at any spread.
+    base, head = rounds
+    assert not bench_pairs.score(base, head, "lower", 0.25)["gain_rule_met"]
+
+
+def _keys(value):
+    """The nested dict keys of ``value``; anything that is not a dict is a leaf."""
+    return {k: _keys(v) for k, v in value.items()} if isinstance(value, dict) else None
+
+
+def test_run_pairs_is_pair_major_with_abba_order_in_each_pair(tmp_path, monkeypatch):
+    checkouts = {"base": tmp_path / "base", "head": tmp_path / "head"}
+    checkouts["head"].mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", checkouts["head"])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    calls = []
+
+    def fake_run_once(checkout, workload, seed):
+        calls.append((checkout.name, workload, seed))
+        value = float(len(calls))
+        return {"metrics": {m["name"]: {"value": value} for m in spec["end_to_end"]},
+                "attempted": 2, "failed": 0, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    got = bench_pairs.run_pairs(checkouts, 3, [41, 59])
+
+    orders = [("base", "head"), ("head", "base"), ("base", "head")]
+    expected = [(side, w, seed) for order, seed in zip(orders, [41, 59, 41]) for w in workloads for side in order]
+    assert calls == expected
+    assert _keys(got) == _keys(json.loads((ROOT / "BENCH_22.json").read_text())["workloads"])
+    first = got[workloads[0]]
+    assert first["metrics"]["unit_ms"]["base"]["runs"] == [1.0, 2 * len(workloads) + 2.0, 4 * len(workloads) + 1.0]
+    assert first["attempted"] == {"base": 6, "head": 6}

@@ -508,6 +508,8 @@ class TestFitConfig:
     def test_rejects_negative(self):
         with pytest.raises(DimensionMismatch):
             FitConfig(max_iter=-1)
+        with pytest.raises(DimensionMismatch, match="max_iter must be an integer"):
+            FitConfig(max_iter=2.5)  # failed with a raw TypeError at the fit
         with pytest.raises(DimensionMismatch):
             FitConfig(rel_tol=-0.1)
         with pytest.raises(DimensionMismatch):

@@ -74,6 +74,8 @@ class TestGenerateSim:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(NonPositiveArgument):
             generate_sim("easy", 0)
+        with pytest.raises(NonPositiveArgument, match="n_inliers must be an integer"):
+            generate_sim("easy", 2.5)  # drew 2 points
 
 
 class TestContaminateUniform:

@@ -19,6 +19,7 @@ from wdmix.errors import (
     EmptyCluster,
     LengthMismatch,
     MissingFlags,
+    NonRectangular,
     SingleCluster,
     WdmixError,
 )
@@ -89,6 +90,10 @@ class TestDaviesBouldin:
             )
         with pytest.raises(LengthMismatch):
             davies_bouldin(np.zeros((3, 1)), np.zeros(2, int), np.zeros((2, 1)))
+        with pytest.raises(LengthMismatch):  # raised a raw IndexError
+            davies_bouldin(np.zeros((3, 1)), np.zeros((3, 1), int), np.array([[0.0], [1.0]]))
+        with pytest.raises(NonRectangular):  # read as labels 0, 0, 1
+            davies_bouldin(np.arange(3.0)[:, None], [0.5, 0.0, 1.7], np.array([[0.0], [2.0]]))
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3), (2,)])
     def test_centers_not_shaped_k_by_d_rejected(self, shape):

@@ -27,11 +27,14 @@ from wdmix.initialization import (
     kernel_sums,
 )
 from wdmix.errors import (
+    DimensionMismatch,
     EmptyCluster,
     KTooLarge,
+    LengthMismatch,
     NaNInput,
     NonPositiveArgument,
     NonPositiveWeight,
+    NonRectangular,
     QTooLarge,
 )
 
@@ -72,8 +75,15 @@ class TestKmeans:
             kmeans(blobs_2d, 0, seed=0)
         with pytest.raises(KTooLarge):
             kmeans(blobs_2d, blobs_2d.n + 1, seed=0)
+        with pytest.raises(KTooLarge, match="k must be an integer"):
+            kmeans(blobs_2d, 2.5, seed=0)  # raised a raw TypeError
 
-    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_numpy_integer_counts_act_as_python_ints(self, blobs_2d):
+        got = kmeans(blobs_2d, np.int64(3), restarts=np.int32(2), seed=0)
+        want = kmeans(blobs_2d, 3, restarts=2, seed=0)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("restarts", [0, -1, 2.5])
     def test_rejects_fewer_than_one_restart(self, blobs_2d, restarts):
         with pytest.raises(NonPositiveArgument, match="restarts"):
             kmeans(blobs_2d, 3, restarts=restarts, seed=0)
@@ -261,6 +271,30 @@ class TestModelFromLabels:
         with pytest.raises(EmptyCluster):
             model_from_labels(points, [0, 2])  # label 1 missing
 
+    @pytest.mark.parametrize(
+        "labels, error",
+        [
+            (np.r_[np.full(5, 0.5), np.full(5, 1.7)], NonRectangular),  # built clusters 0 and 1
+            (np.zeros(4, dtype=int), LengthMismatch),  # raised a raw IndexError
+            (np.zeros((10, 1), dtype=int), LengthMismatch),  # raised a raw IndexError
+            (np.r_[-1, np.zeros(9, dtype=int)], DimensionMismatch),  # dropped the point
+        ],
+        ids=["fractional", "short", "column", "negative"],
+    )
+    def test_rejects_labels_that_are_not_one_cluster_id_per_point(self, labels, error):
+        points = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(error, match="labels"):
+            model_from_labels(points, labels)
+
+    @pytest.mark.parametrize(
+        "labels", [[0] * 5 + [1] * 5, np.r_[np.zeros(5), np.ones(5)], np.repeat(np.uint8([0, 1]), 5)]
+    )
+    def test_whole_labels_of_any_type_match_int64_labels(self, labels):
+        points = np.random.default_rng(0).normal(size=(10, 2))
+        want = model_from_labels(points, np.repeat(np.arange(2), 5))
+        got = model_from_labels(points, labels)
+        assert got.to_dict() == want.to_dict()
+
 
 def _oracle_weights(points: np.ndarray, q: int, bandwidth: float) -> np.ndarray:
     """Kernel weights from explicit (x_i - x_j)^2 sums and a full sort of each row."""
@@ -331,6 +365,8 @@ class TestKnnKernelWeights:
             knn_kernel_weights(data, q=2)  # q must stay below n
         with pytest.raises(QTooLarge):
             knn_kernel_weights(data, q=0)
+        with pytest.raises(QTooLarge, match="q must be an integer"):
+            knn_kernel_weights(validate_dataset(np.arange(10.0).reshape(5, 2)), q=2.5)  # acted as q=3
         with pytest.raises(NonPositiveWeight):
             knn_kernel_weights(data, q=1, bandwidth=0.0)
         with pytest.raises(NonPositiveWeight):

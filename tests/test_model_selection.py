@@ -35,6 +35,7 @@ from wdmix.errors import (
     EmptyInput,
     LengthMismatch,
     NaNInput,
+    NonPositiveArgument,
     NonPositiveShape,
     NonPositiveWeight,
 )
@@ -179,6 +180,13 @@ class TestMmlConfig:
             MmlConfig(k_high=3, epsilon=float("nan"))  # would run out the sweep budget
         with pytest.raises(DimensionMismatch):
             MmlConfig(k_high=3, assignment_rates="other")
+        # k_high=2.5 failed with a raw TypeError in the selection; the other two were accepted.
+        for field in ({"k_high": 2.5}, {"k_high": 3, "k_low": 1.5}, {"k_high": 3, "max_outer_iter": 2.5}):
+            with pytest.raises(DimensionMismatch, match="must be an integer"):
+                MmlConfig(**field)
+
+    def test_numpy_integers_are_counts(self):
+        assert MmlConfig(k_high=np.int64(3), k_low=np.int32(2), max_outer_iter=np.uint8(5)).max_outer_iter == 5
 
     def test_mode_coercion(self):
         config = MmlConfig(k_high=3, weight_mode="fixed")
@@ -186,6 +194,10 @@ class TestMmlConfig:
 
 
 class TestSelectModel:
+    def test_rejects_fractional_restarts(self, blobs_2d):
+        with pytest.raises(NonPositiveArgument, match="restarts"):
+            select_model(blobs_2d, MmlConfig(k_high=3), seed=0, restarts=2.5)
+
     def test_finds_three_blobs_random_mode(self, blobs_2d):
         config = MmlConfig(k_high=6, epsilon=1e-5)
         report = select_model(blobs_2d, config, seed=0)

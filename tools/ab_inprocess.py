@@ -3,13 +3,13 @@
 
     python3 tools/ab_inprocess.py --rounds 10 --seed 41
 
-``src/wdmix`` of ``--base`` (default ``HEAD``) is exported with ``git
-archive`` into a temporary directory and imported as the package
-``wdmix_base``, next to the working tree's ``wdmix``.  The working tree's
-``perfbench/workloads.py`` is loaded once per side, with ``wdmix`` bound to
-that side's package, so both sides run the same workload code.  For every
-workload of ``BENCHMARK.json`` each side builds its inputs from ``--seed``
-and runs the workload's warm-up.
+``--base`` (default ``HEAD``) is exported into a temporary directory by
+``tools/bench_pairs.py``'s ``export``, and its ``src/wdmix`` is imported as
+the package ``wdmix_base``, next to the working tree's ``wdmix``.  The
+working tree's ``perfbench/workloads.py`` is loaded once per side, with
+``wdmix`` bound to that side's package, so both sides run the same workload
+code.  For every workload of ``BENCHMARK.json`` each side builds its inputs
+from ``--seed`` and runs the workload's warm-up.
 
 Each round runs every op of every workload on both sides back to back, the
 first side alternating from one op to the next, so host load that drifts
@@ -29,7 +29,6 @@ import hashlib
 import importlib
 import importlib.util
 import json
-import subprocess
 import sys
 import tempfile
 import time
@@ -50,15 +49,6 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=41)
     parser.add_argument("--base", default="HEAD", help="revision to compare the working tree with")
     return parser.parse_args(argv)
-
-
-def export_base(rev: str, workdir: Path) -> None:
-    """``src/wdmix`` of ``rev`` as the directory ``workdir/wdmix_base``."""
-    archive = subprocess.run(
-        ["git", "archive", rev, "src/wdmix"], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(workdir)], input=archive, check=True)
-    (workdir / "src" / "wdmix").rename(workdir / PACKAGES["base"])
 
 
 def load_workloads(package: str, name: str):
@@ -125,14 +115,6 @@ def run_op(op) -> tuple:
     return seconds, outcome.units, (outcome.digest, float_digest(output))
 
 
-def score(times: dict, bound: float) -> dict:
-    """``unit_ms`` of both sides over the rounds, judged by the paired-runs rule."""
-    base, head = bench_pairs.summary(times["base"]), bench_pairs.summary(times["head"])
-    wins = sum(h < b for b, h in zip(times["base"], times["head"]))
-    verdict = bench_pairs.verdict(base, head, wins, len(times["base"]), "lower", bound)
-    return {"base": base, "head": head, "head_wins": wins, **verdict}
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -140,7 +122,8 @@ def main(argv=None) -> int:
     bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "unit_ms")
     with tempfile.TemporaryDirectory(prefix="ab_inprocess-") as tmp:
         workdir = Path(tmp)
-        export_base(args.base, workdir)
+        bench_pairs.export(args.base, workdir / "export")
+        (workdir / "export" / "src" / "wdmix").rename(workdir / PACKAGES["base"])
         sys.path[:0] = [str(ROOT / "src"), str(workdir)]
         modules = {side: load_workloads(PACKAGES[side], f"workloads_{side}") for side in SIDES}
         ops = {w: {side: prepare(modules[side], w, args.seed, workdir / side) for side in SIDES} for w in workloads}
@@ -162,7 +145,8 @@ def main(argv=None) -> int:
             print(f"round {r}: " + "; ".join(
                 f"{w} base {times[w]['base'][-1]:.4f} head {times[w]['head'][-1]:.4f}" for w in workloads
             ) + " ms/unit", flush=True)
-    results = {w: {"unit_ms": score(times[w], bound)} for w in workloads}
+    results = {w: {"unit_ms": bench_pairs.score(times[w]["base"], times[w]["head"], "lower", bound)}
+               for w in workloads}
     for w, metrics in results.items():
         print(bench_pairs.summary_line(w, metrics))
     print(json.dumps(results))

@@ -12,9 +12,11 @@ so the real one is left alone).  For every workload of the head's
     python3 perfbench/run.py --workload W --seed S --seconds 25
 
 once on each side, in ABBA order (base first on even pairs, head first on
-odd ones), with seed S cycling through ``--seeds``.  The last line of every
-run is read.  ``BENCH_<pr>.json``, written to the repository root, records
-per workload and gated metric (the ``end_to_end`` list of the head's
+odd ones), with seed S cycling through ``--seeds``.  The runs are
+pair-major: pair i runs every workload before pair i + 1 starts, so each
+workload's pairs spread over the whole run.  The last line of every run
+is read.  ``BENCH_<pr>.json``, written to the repository root, records per
+workload and gated metric (the ``end_to_end`` list of the head's
 ``BENCHMARK.json``) each side's median, quartiles and every run's value,
 and how many pairs the head won (ties win for neither side).  It also
 records the seeds, both sides' commit and ``src/`` tree SHAs, their line
@@ -130,40 +132,38 @@ def summary_line(workload: str, metrics: dict) -> str:
     return f"{workload}: " + "; ".join(parts)
 
 
+def score(base_values: list[float], head_values: list[float], better: str, bound: float) -> dict:
+    """One metric's paired values as both sides' :func:`summary`, the head's wins and the :func:`verdict`."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (h - b) < 0 for b, h in zip(base_values, head_values))
+    base, head = summary(base_values), summary(head_values)
+    return {"base": base, "head": head, "head_wins": wins,
+            **verdict(base, head, wins, len(base_values), better, bound)}
+
+
 def run_pairs(checkouts: dict, pairs: int, seeds: list[int]) -> dict:
     spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
-    gated = {m["name"]: m for m in spec["end_to_end"]}
-    results = {}
-    for workload in (w["name"] for w in spec["workloads"]):
-        runs = {"base": [], "head": []}
-        for i in range(pairs):
-            seed = seeds[i % len(seeds)]
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for name in order:
-                runs[name].append(run_once(checkouts[name], workload, seed))
-                line = runs[name][-1]
+    runs = {w["name"]: {"base": [], "head": []} for w in spec["workloads"]}
+    for i in range(pairs):
+        seed = seeds[i % len(seeds)]
+        for workload in runs:
+            for name in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                line = run_once(checkouts[name], workload, seed)
+                runs[workload][name].append(line)
                 print(f"{workload} pair {i} seed {seed} {name}: "
                       + " ".join(f"{k}={v['value']}" for k, v in line["metrics"].items()), flush=True)
+    results = {}
+    for workload, sides in runs.items():
         metrics = {}
-        for metric, meta in gated.items():
-            values = {name: [r["metrics"][metric]["value"] for r in runs[name]] for name in runs}
-            sign = 1.0 if meta["better"] == "lower" else -1.0
-            wins = sum(sign * (h - b) < 0 for b, h in zip(values["base"], values["head"]))
-            base, head = summary(values["base"]), summary(values["head"])
-            metrics[metric] = {
-                "unit": meta["unit"],
-                "better": meta["better"],
-                "bound": meta["bound"],
-                "base": base,
-                "head": head,
-                "head_wins": wins,
-                **verdict(base, head, wins, pairs, meta["better"], meta["bound"]),
-            }
+        for m in spec["end_to_end"]:
+            base, head = ([r["metrics"][m["name"]]["value"] for r in sides[name]] for name in ("base", "head"))
+            metrics[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                                  **score(base, head, m["better"], m["bound"])}
         results[workload] = {
             "metrics": metrics,
-            "attempted": {name: sum(r["attempted"] for r in runs[name]) for name in runs},
-            "failed": {name: sum(r["failed"] for r in runs[name]) for name in runs},
-            "correct": {name: all(r["correct"] for r in runs[name]) for name in runs},
+            "attempted": {name: sum(r["attempted"] for r in sides[name]) for name in sides},
+            "failed": {name: sum(r["failed"] for r in sides[name]) for name in sides},
+            "correct": {name: all(r["correct"] for r in sides[name]) for name in sides},
         }
     return results
 
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     payload = {
         "pr": args.pr,
         "command": f"perfbench/run.py --workload W --seed S --seconds {SECONDS}",
-        "order": "ABBA: base first on even pairs, head first on odd ones",
+        "order": "pair-major, every workload in each pair; ABBA: base first on even pairs, head first on odd ones",
         "pairs": args.pairs,
         "seeds": args.seeds,
         "base": sides["base"],
