@@ -96,7 +96,8 @@ class Dataset:
         object.__setattr__(self, "points", pts)
         for name in _SIDE_ARRAYS:
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _side_array(name, getattr(self, name), pts.shape[0]))
+                side = _side_array(name, getattr(self, name), pts.shape[0])
+                object.__setattr__(self, name, _frozen_array(side, side.dtype))
 
     @property
     def n(self) -> int:
@@ -108,16 +109,18 @@ class Dataset:
 
 
 def _side_array(name: str, values, n: int) -> np.ndarray:
-    """``values`` as :class:`Dataset`'s read-only (n,) side array ``name``; an error if the cast changes a value."""
+    """``values`` as (n,) side array ``name``, uncopied if of its dtype; an error if the cast changes a value."""
     dtype, keeps, rule, error = _SIDE_ARRAYS[name]
     try:
         raw = np.asarray(values)
-        bad = [v for v in dict.fromkeys(raw.ravel().tolist()) if not keeps(v)]
+        # Every signed integer is a whole number in int64, so such labels skip the per-value check.
+        signed = name == "labels" and raw.dtype.kind == "i"
+        bad = [] if signed else [v for v in dict.fromkeys(raw.ravel().tolist()) if not keeps(v)]
     except (TypeError, ValueError, OverflowError) as exc:
         raise NonRectangular(f"{name} do not convert to {np.dtype(dtype)}: {exc}") from None
     if bad:
         raise error(f"{name} must be {rule}, got {bad[0]!r}")
-    side = _frozen_array(raw, dtype)
+    side = np.asarray(raw, dtype)
     if side.shape != (n,):
         raise LengthMismatch(f"{name} has length {side.shape}, expected ({n},)")
     return side
@@ -126,11 +129,8 @@ def _side_array(name: str, values, n: int) -> np.ndarray:
 def cluster_labels(labels, n: int) -> np.ndarray:
     """``labels`` as (n,) int64 cluster ids, else LengthMismatch (not shaped (n,)), NonRectangular
     (not whole numbers in int64, by :class:`Dataset`'s label check) or DimensionMismatch (below 0)."""
-    raw = np.asarray(labels)
-    out = raw.astype(np.int64, copy=False) if raw.dtype.kind == "i" else _side_array("labels", raw, n)
-    if out.shape != (n,):
-        raise LengthMismatch(f"labels have shape {out.shape}, expected ({n},)")
-    if out.min() < 0:
+    out = _side_array("labels", labels, n)
+    if np.any(out < 0):
         raise DimensionMismatch(f"labels must be cluster ids >= 0, got {out.min()}")
     return out
 

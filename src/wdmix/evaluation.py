@@ -33,7 +33,7 @@ def davies_bouldin(points, labels, centers) -> float:
     k = cen.shape[0]
     if k < 2:
         raise SingleCluster("Davies-Bouldin needs at least two clusters")
-    if labs.max() >= k:
+    if np.any(labs >= k):
         raise DimensionMismatch(f"labels must lie in [0, {k}) for {k} centers")
     scatter = np.empty(k)
     for j in range(k):

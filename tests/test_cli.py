@@ -282,6 +282,20 @@ class TestEvaluate:
         )
         assert metrics["micro_f1"] == pytest.approx(micro_f1(assignments, ds.labels))
 
+    def test_db_inliers_null_when_every_point_is_an_outlier(self, fitted, small_csv, tmp_path):
+        truth = tmp_path / "all_outliers.csv"
+        lines = small_csv.read_text().splitlines()
+        assert lines[0].endswith(",outlier")
+        truth.write_text("\n".join([lines[0]] + [row.rsplit(",", 1)[0] + ",1" for row in lines[1:]]) + "\n")
+        out = tmp_path / "metrics.json"
+        code = run_cli(
+            "evaluate", "--model", f"{fitted}.model.json",
+            "--assignments", f"{fitted}.assignments.csv",
+            "--truth", truth, "--metrics", "db", "--out", out,
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["db_inliers"] is None
+
     def test_assignments_recomputed_from_model_match_stored(
         self, fitted, small_csv, tmp_path
     ):

@@ -94,6 +94,8 @@ class TestDaviesBouldin:
             davies_bouldin(np.zeros((3, 1)), np.zeros((3, 1), int), np.array([[0.0], [1.0]]))
         with pytest.raises(NonRectangular):  # read as labels 0, 0, 1
             davies_bouldin(np.arange(3.0)[:, None], [0.5, 0.0, 1.7], np.array([[0.0], [2.0]]))
+        with pytest.raises(EmptyCluster):  # no points: a raw ValueError from an empty reduction
+            davies_bouldin(np.zeros((0, 1)), np.zeros(0, int), np.array([[0.0], [1.0]]))
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3), (2,)])
     def test_centers_not_shaped_k_by_d_rejected(self, shape):

@@ -29,3 +29,12 @@ def test_tracer_records_a_phase_s_bytes_and_keeps_its_result():
     assert peak >= got["held"] + SIZE
     assert tracer.results["phase"] is output
     assert output.tolist() == list(range(8))
+
+
+def test_a_pass_reports_only_its_own_phases():
+    tracer = fit_probe.PhaseTracer()
+    first, second = tracer.wrap("first", lambda: 1), tracer.wrap("second", lambda: 2)
+    tracer.run(first)
+    tracer.run(second)
+    assert tracer.results == {"second": 2}
+    assert list(tracer.phases) == ["second"]

@@ -79,6 +79,7 @@ class PhaseTracer:
     def run(self, pass_fn):
         """Trace one pass; returns its result and its peak traced bytes above the pass start."""
         self.phases = {}
+        self.results = {}
         tracemalloc.start()
         self.pass_start = tracemalloc.get_traced_memory()[0]
         try:
