@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import Dataset, MixtureModel, Responsibilities
+from .core import Dataset, MixtureModel, Responsibilities, _side_array
 from .em_fixed import e_step
 from .errors import LengthMismatch, SingleModality
 from .initialization import kernel_sums, pipeline_gamma_priors
@@ -64,9 +64,7 @@ def classify_components(
     are tagged audio-visual, the rest by their dominant modality (audio
     wins exact ties).
     """
-    modality = np.asarray(modality)
-    if modality.shape[0] != responsibilities.n:
-        raise LengthMismatch("modality tags and responsibilities disagree in length")
+    modality = _side_array("modality", modality, responsibilities.n)
     hard = responsibilities.hard_assignments()
     n_total = responsibilities.n
     k = responsibilities.k

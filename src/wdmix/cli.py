@@ -193,18 +193,16 @@ def read_assignments_csv(path) -> np.ndarray:
         return np.array(clusters, dtype=np.int64)
 
 
-def assignments_from_model(dataset: Dataset, payload: dict) -> np.ndarray:
-    """Recompute hard assignments for a dataset from a saved model payload.
+def assignments_from_model(dataset: Dataset, model: MixtureModel, meta) -> np.ndarray:
+    """Recompute hard assignments for a dataset from a saved model.
 
-    Uses the recorded fit metadata (algorithm, kernel settings) to repeat
-    the assignment step with the prior weights, as ``fit`` and every
-    ``select`` run but one assign.  A random-weight ``select`` with carried
-    rates (its default) assigns with per-component posterior rates, which
-    the model file does not hold: such a model raises WdmixError, and its
-    run's assignment file must be passed instead.
+    Uses the model file's ``fit`` metadata ``meta`` (algorithm, kernel
+    settings) to repeat the assignment step with the prior weights, as
+    ``fit`` and every ``select`` run but one assign.  A random-weight
+    ``select`` with carried rates (its default) assigns with per-component
+    posterior rates, which the model file does not hold: such a model raises
+    WdmixError, and its run's assignment file must be passed instead.
     """
-    model = MixtureModel.from_dict(payload)
-    meta = payload.get("fit", {})
     if not isinstance(meta, dict):
         raise MalformedModel("model file's 'fit' field must be a JSON object")
     algorithm = meta.get("algorithm", "gmm")
@@ -381,7 +379,7 @@ def _cmd_evaluate(args) -> int:
         if assignments.shape[0] != dataset.n:
             raise WdmixError("assignments and dataset disagree in length")
     else:
-        assignments = assignments_from_model(dataset, payload)
+        assignments = assignments_from_model(dataset, model, payload.get("fit", {}))
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = set(metrics) - {"db", "f1", "outliers"}
     if unknown:

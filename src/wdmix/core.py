@@ -34,11 +34,12 @@ COVARIANCE_FLOOR_REL = 1e-10
 _SYMMETRY_RTOL = 1e-12
 _PROPORTION_ATOL = 1e-10
 
-# Side arrays: dtype, the test a value passes when the cast keeps it, the rule, the error.
+# Side arrays: dtype, the dtype kind whose every value the cast keeps, the test a
+# value passes when the cast keeps it, the rule, the error.
 _SIDE_ARRAYS = {
-    "labels": (np.int64, lambda v: int(v) == v and -(2**63) <= v < 2**63, "whole numbers in int64", NonRectangular),
-    "modality": ("U1", lambda v: v in ("a", "v"), "'a' or 'v'", LengthMismatch),
-    "outlier_flag": (bool, lambda v: v in (0, 1), "booleans, 0 or 1", NonRectangular),
+    "labels": (np.int64, "i", lambda v: int(v) == v and -(2**63) <= v < 2**63, "whole numbers in int64", NonRectangular),
+    "modality": ("U1", None, lambda v: v in ("a", "v"), "'a' or 'v'", LengthMismatch),
+    "outlier_flag": (bool, "b", lambda v: v in (0, 1), "booleans, 0 or 1", NonRectangular),
 }
 
 
@@ -110,12 +111,10 @@ class Dataset:
 
 def _side_array(name: str, values, n: int) -> np.ndarray:
     """``values`` as (n,) side array ``name``, uncopied if of its dtype; an error if the cast changes a value."""
-    dtype, keeps, rule, error = _SIDE_ARRAYS[name]
+    dtype, kind, keeps, rule, error = _SIDE_ARRAYS[name]
     try:
         raw = np.asarray(values)
-        # Every signed integer is a whole number in int64, so such labels skip the per-value check.
-        signed = name == "labels" and raw.dtype.kind == "i"
-        bad = [] if signed else [v for v in dict.fromkeys(raw.ravel().tolist()) if not keeps(v)]
+        bad = [] if raw.dtype.kind == kind else [v for v in dict.fromkeys(raw.ravel().tolist()) if not keeps(v)]
     except (TypeError, ValueError, OverflowError) as exc:
         raise NonRectangular(f"{name} do not convert to {np.dtype(dtype)}: {exc}") from None
     if bad:
@@ -411,6 +410,9 @@ class MixtureModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedModel(f"model file field missing or unreadable: {exc}") from None
         if shape == CovarianceShape.DIAGONAL:
+            for cov in covs:
+                if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or np.any(cov[~np.eye(len(cov), dtype=bool)] != 0):
+                    raise MalformedModel("a diagonal model's covariances must be square and zero off the diagonal")
             covs = [np.diagonal(cov).copy() for cov in covs]
         return model_from_parameters(means, covs, proportions, shape)
 

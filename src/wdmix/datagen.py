@@ -85,19 +85,13 @@ def contaminate_uniform(dataset: Dataset, outlier_fraction: float, margin: float
         raise NonPositiveArgument(f"margin must be finite and >= 0, got {margin}")
     if dataset.modality is not None:
         raise DimensionMismatch("modality-tagged datasets cannot be contaminated")
-    if dataset.outlier_flag is not None:
-        inlier_mask = ~dataset.outlier_flag
-    else:
-        inlier_mask = np.ones(dataset.n, dtype=bool)
-    inliers = dataset.points[inlier_mask]
+    flags = np.zeros(dataset.n, dtype=bool) if dataset.outlier_flag is None else dataset.outlier_flag
+    inliers = dataset.points[~flags]
     expected = outlier_fraction * inliers.shape[0]
     if not expected * dataset.d <= np.iinfo(np.intp).max // 8:
         raise NonPositiveArgument(f"outlier_fraction {outlier_fraction} asks for more outliers than an array holds")
     n_outliers = int(round(expected))
     if n_outliers == 0:
-        flags = dataset.outlier_flag
-        if flags is None:
-            flags = np.zeros(dataset.n, dtype=bool)
         return validate_dataset(dataset.points, labels=dataset.labels, outlier_flag=flags)
     lo = inliers.min(axis=0)
     hi = inliers.max(axis=0)
@@ -112,8 +106,5 @@ def contaminate_uniform(dataset: Dataset, outlier_fraction: float, margin: float
     labels = None
     if dataset.labels is not None:
         labels = np.concatenate([dataset.labels, np.full(n_outliers, -1, dtype=np.int64)])
-    old_flags = dataset.outlier_flag
-    if old_flags is None:
-        old_flags = np.zeros(dataset.n, dtype=bool)
-    flags = np.concatenate([old_flags, np.ones(n_outliers, dtype=bool)])
+    flags = np.concatenate([flags, np.ones(n_outliers, dtype=bool)])
     return validate_dataset(points, labels=labels, outlier_flag=flags)

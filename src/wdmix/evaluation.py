@@ -6,12 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightMode, WeightState, cluster_labels
+from .core import WeightMode, WeightState, _side_array, cluster_labels
 from .errors import (
     DimensionMismatch,
     EmptyCluster,
     LengthMismatch,
     MissingFlags,
+    NaNInput,
     SingleCluster,
     WdmixError,
 )
@@ -23,13 +24,16 @@ def davies_bouldin(points, labels, centers) -> float:
     Cluster scatter is the mean (unsquared) Euclidean distance of members to
     the given center; the ratio for a pair is the scatter sum over the
     center distance.  Lower is better.  Duplicate centers give an infinite
-    index rather than an error; a label outside [0, K) is an error.
+    index rather than an error; a label outside [0, K) or a non-finite
+    point or center is an error.
     """
     pts = np.asarray(points, dtype=np.float64)
     labs = cluster_labels(labels, pts.shape[0])
     cen = np.asarray(centers, dtype=np.float64)
     if cen.ndim != 2 or cen.shape[1:] != pts.shape[1:]:
         raise DimensionMismatch(f"centers must be shaped (K, d) for points shaped {pts.shape}")
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(cen))):
+        raise NaNInput("points and centers must be finite")
     k = cen.shape[0]
     if k < 2:
         raise SingleCluster("Davies-Bouldin needs at least two clusters")
@@ -172,10 +176,8 @@ def outlier_score_report(weight_state: WeightState, outlier_flag) -> OutlierScor
         raise MissingFlags("ground-truth outlier flags are required")
     if weight_state.mode != WeightMode.RANDOM or weight_state.marginal_mean is None:
         raise WdmixError("outlier scoring needs marginal posterior weight means")
-    flags = np.asarray(outlier_flag, dtype=bool)
     wbar = weight_state.marginal_mean
-    if flags.shape != wbar.shape:
-        raise LengthMismatch("flags and weight means disagree in length")
+    flags = _side_array("outlier_flag", outlier_flag, wbar.shape[0])
     n_out = int(flags.sum())
     n_in = int((~flags).sum())
     inlier_mean = float(wbar[~flags].mean()) if n_in else None

@@ -163,7 +163,7 @@ def model_from_labels(data, labels, covariance_shape=CovarianceShape.FULL) -> Mi
     labels = cluster_labels(labels, n)
     k = int(labels.max()) + 1
     global_scale = data_scale(points)
-    means, covs, props = [], [], []
+    comps, props = [], []
     shape = CovarianceShape(covariance_shape)
     for j in range(k):
         members = points[labels == j]
@@ -175,11 +175,9 @@ def model_from_labels(data, labels, covariance_shape=CovarianceShape.FULL) -> Mi
             cov = np.mean(diff * diff, axis=0)
         else:
             cov = diff.T @ diff / members.shape[0]
-        means.append(mu)
-        covs.append(floored_covariance(cov, global_scale))
+        comps.append(GaussianComponent(mu, floored_covariance(cov, global_scale)))
         props.append(members.shape[0] / n)
-    comps = tuple(GaussianComponent(m, c) for m, c in zip(means, covs))
-    return MixtureModel(comps, np.asarray(props), shape)
+    return MixtureModel(tuple(comps), np.asarray(props), shape)
 
 
 def kernel_sums(d2: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -34,7 +34,7 @@ from .densities import GammaWeights, _pairwise_sum, centred_distances, expected_
 from .errors import AllAnnihilated, DegenerateRow, DimensionMismatch, EmptyInput, NaNInput, NoActiveComponents
 from .initialization import default_weights, kmeans, model_from_labels
 
-# The shifted exponential cache of _SelectionEngine is rebuilt when a
+# The shifted exponential cache of _SelectionEngine resets its shift when a
 # recomputed column rises more than _SHIFT_MARGIN nats above its row's shift
 # (exp(600) is far from overflow), or when a row sum of the cache falls below
 # _SUM_FLOOR (far from the subnormal range).
@@ -132,20 +132,21 @@ class _SelectionEngine:
     """Raw-array state of one selection run, one column per component.
 
     Components are held as plain mean / covariance / log-determinant arrays.
-    ``maha`` and ``log_dens`` cache each component's squared Mahalanobis
-    distances and its log density without log pi, one column per component;
-    an update recomputes only the columns it changed, through the
-    component's regime kernel in ``kernels``.  Value objects, and with them
-    the covariance validation, are built only by :meth:`freeze`.
+    ``maha`` caches each component's squared Mahalanobis distances, one
+    column per component; an update recomputes only the columns it changed,
+    each through :meth:`_column` and the component's regime kernel in
+    ``kernels``.  Value objects, and with them the covariance validation,
+    are built only by :meth:`freeze`.
 
     Responsibilities come from a shifted exponential cache
-    ``E[:, j] = exp(log_dens[:, j] - shift)``, with one shift per row: the
+    ``E[:, j] = exp(_column(j) - shift)``, with one shift per row: the
     row sums are ``S = E @ pis`` (inactive components have pi = 0 and a
     zeroed column), so a component update needs the column sums
     ``pis * ((1 / S) @ E)`` and its own column only, never the full (n, K+)
-    responsibility matrix.  The shift is reset to the row maxima of
-    log pi + log density when a recomputed column rises too far above it or
-    a row sum underflows.
+    responsibility matrix.  A shift reset recomputes every active column and
+    sets each row's shift to its largest log pi + log density: on first use,
+    and when a recomputed column rises too far above it or a row sum
+    underflows.
     """
 
     def __init__(self, data, config, kernel, initial_model):
@@ -178,11 +179,10 @@ class _SelectionEngine:
         self.log_dets = np.empty(self.k_total)
         # Column-major, so every per-component column is contiguous.
         self.maha = np.empty((self.n, self.k_total), order="F")
-        self.log_dens = np.empty((self.n, self.k_total), order="F")
-        self.E = np.zeros((self.n, self.k_total), order="F")  # exp(log_dens - shift)
-        self.shift = None  # (n,) row shifts, set by the first _rebuild
+        self.E = np.zeros((self.n, self.k_total), order="F")  # exp(log density - shift)
+        self.shift = None  # (n,) row shifts, set on first use
         self.kernels = [self.kernel] * self.k_total  # per-component; carried rates replace the prior
-        self.dirty: set = set()  # log_dens columns to recompute
+        self.dirty: set = set()  # E columns to recompute
         self.refreshed: set = set()  # components moved since the rates were last carried
         for k, comp in enumerate(initial_model.components):
             self._store(k, comp.mean, comp.covariance, comp.factor, comp.log_det)
@@ -218,37 +218,31 @@ class _SelectionEngine:
         self.refreshed.clear()
 
     def _inverse_row_sums(self) -> np.ndarray:
-        """Refresh the changed columns of the cache and return 1 / S."""
-        rebuild = self.shift is None
-        for j in self.dirty.intersection(self.active):
-            col = self._column(j)[:, 0]
-            self.log_dens[:, j] = col
-            if not rebuild:
-                e = self.E[:, j]
-                np.subtract(col, self.shift, out=e)
-                rebuild = not e.max() <= _SHIFT_MARGIN
-                if not rebuild:
-                    np.exp(e, out=e)
+        """Refresh the changed columns of the cache, or reset the shift, and return 1 / S."""
+        reset = self.shift is None
+        for j in () if reset else self.dirty.intersection(self.active):
+            e = self.E[:, j]
+            np.subtract(self._column(j)[:, 0], self.shift, out=e)
+            if not e.max() <= _SHIFT_MARGIN:
+                reset = True
+                break
+            np.exp(e, out=e)
         self.dirty.clear()
-        if not rebuild:
+        if not reset:
             S = self.E @ self.pis
-            rebuild = not S.min() >= _SUM_FLOOR
-        if rebuild:
-            self._rebuild()
+            reset = not S.min() >= _SUM_FLOOR
+        if reset:
+            act = self.active
+            cols = np.hstack([self._column(j) for j in act])
+            shift = (cols + np.log(self.pis[act])).max(axis=1)
+            finite = np.isfinite(shift)
+            if not np.all(finite):
+                bad = int(np.argmin(finite))
+                raise DegenerateRow(f"point {bad} has no component with positive density")
+            self.shift = shift
+            self.E[:, act] = np.exp(cols - shift[:, None])
             S = self.E @ self.pis
         return 1.0 / S
-
-    def _rebuild(self) -> None:
-        """Reset each row's shift to its largest log pi + log density."""
-        act = self.active
-        # Elementwise over the columns, not one short row at a time.
-        shift = np.maximum.reduce([self.log_dens[:, j] + lp for j, lp in zip(act, np.log(self.pis[act]))])
-        finite = np.isfinite(shift)
-        if not np.all(finite):
-            bad = int(np.argmin(finite))
-            raise DegenerateRow(f"point {bad} has no component with positive density")
-        self.shift = shift
-        self.E[:, act] = np.exp(self.log_dens[:, act] - shift[:, None])
 
     # -- one component-wise sweep ----------------------------------------
 

@@ -177,6 +177,13 @@ class TestClassifyComponents:
         with pytest.raises(LengthMismatch):
             classify_components(eta, np.array(["a", "v"]))
 
+    # Such tags were counted as neither modality, without a word.
+    @pytest.mark.parametrize("modality", [["a", "v", "a", "x"], ["audio", "v", "a", "v"]], ids=["x", "audio"])
+    def test_tags_other_than_a_or_v_rejected(self, modality):
+        eta = Responsibilities(np.ones((4, 1)))
+        with pytest.raises(LengthMismatch, match="modality"):
+            classify_components(eta, modality)
+
 
 class TestCorrectDetection:
     @pytest.fixture()

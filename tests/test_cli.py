@@ -427,14 +427,15 @@ class TestSmallFile:
                        "--metrics", "f1", "--out", tmp_path / "m.json")
         payload = json.loads(Path(f"{prefix}.model.json").read_text())
         assert payload["fit"]["assignment_rates"] == rates
+        model = MixtureModel.from_dict(payload)
         if (mode, rates) == ("random", "carried"):
             assert code == 1
             assert "--assignments" in capsys.readouterr().err
             with pytest.raises(WdmixError, match="--assignments"):
-                assignments_from_model(read_dataset_csv(tiny_csv), payload)
+                assignments_from_model(read_dataset_csv(tiny_csv), model, payload["fit"])
             return
         assert code == 0
-        recomputed = assignments_from_model(read_dataset_csv(tiny_csv), payload)
+        recomputed = assignments_from_model(read_dataset_csv(tiny_csv), model, payload["fit"])
         assert np.array_equal(recomputed, read_assignments_csv(f"{prefix}.assignments.csv"))
 
     @pytest.mark.parametrize("algorithm", ["wd", "fwd"])
@@ -973,17 +974,23 @@ class TestFuzzMain:
             _outcome([command, *flags])
 
     @_FUZZ
-    @given(path=_MODEL_PATHS, value=_MODEL_VALUES, with_assignments=st.booleans())
-    @example(path=("fit", "algorithm"), value=[], with_assignments=False)  # unhashable type
-    @example(path=("fit", "algorithm"), value={}, with_assignments=False)
-    @example(path=("fit", "algorithm"), value=[[1, 2], [3]], with_assignments=False)
-    @example(path=("fit", "q"), value=math.inf, with_assignments=False)  # float infinity to integer
-    @example(path=("fit", "q"), value=-math.inf, with_assignments=False)
+    @given(path=_MODEL_PATHS, value=_MODEL_VALUES, with_assignments=st.booleans(), diagonal=st.booleans())
+    @example(path=("fit", "algorithm"), value=[], with_assignments=False, diagonal=False)  # unhashable type
+    @example(path=("fit", "algorithm"), value={}, with_assignments=False, diagonal=False)
+    @example(path=("fit", "algorithm"), value=[[1, 2], [3]], with_assignments=False, diagonal=False)
+    @example(path=("fit", "q"), value=math.inf, with_assignments=False, diagonal=False)  # float infinity to integer
+    @example(path=("fit", "q"), value=-math.inf, with_assignments=False, diagonal=False)
     @example(path=("components",), value=[{"mean": [0.0] * 3, "covariance": np.eye(3).tolist()}] * 3,
-             with_assignments=True)  # a 3-D model on 2-D data: a raw ValueError
-    def test_model(self, tiny_fit, path, value, with_assignments):
+             with_assignments=True, diagonal=False)  # a 3-D model on 2-D data: a raw ValueError
+    @example(path=("components", 0, "covariance"), value=[1.0, 1.0], with_assignments=True,
+             diagonal=True)  # variances as a vector: np.diagonal's raw ValueError
+    def test_model(self, tiny_fit, path, value, with_assignments, diagonal):
         data, prefix = tiny_fit
         payload = json.loads(Path(f"{prefix}.model.json").read_text())
+        if diagonal:  # the fitted model with its covariances' off-diagonal entries zeroed
+            payload["covariance_shape"] = "diagonal"
+            for comp in payload["components"]:
+                comp["covariance"] = np.diag(np.diag(comp["covariance"])).tolist()
         parent = payload
         for key in path[:-1]:
             parent = parent[key % len(parent)] if isinstance(key, int) else parent[key]

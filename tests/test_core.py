@@ -30,6 +30,7 @@ from wdmix.core import (
 from wdmix.errors import (
     DimensionMismatch,
     LengthMismatch,
+    MalformedModel,
     NaNInput,
     NonPositiveDefinite,
     NonPositiveShape,
@@ -407,6 +408,19 @@ class TestMixtureModel:
         assert clone.covariance_shape == CovarianceShape.DIAGONAL
         assert clone.components[0].is_diagonal
         assert np.array_equal(clone.components[0].covariance, np.array([2.0, 5.0]))
+
+    # np.diagonal failed on the vector, read the correlated matrix as [1, 1]
+    # and the 3x2 matrix as [1, 1], all without a word.
+    @pytest.mark.parametrize(
+        "cov",
+        [[1.0, 1.0], [[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]],
+        ids=["vector", "off_diagonal", "not_square"],
+    )
+    def test_diagonal_model_file_needs_square_diagonal_covariances(self, cov):
+        payload = model_from_parameters([np.zeros(2)], [np.ones(2)], [1.0], CovarianceShape.DIAGONAL).to_dict()
+        payload["components"][0]["covariance"] = cov
+        with pytest.raises(MalformedModel, match="diagonal"):
+            MixtureModel.from_dict(payload)
 
     @pytest.mark.parametrize(
         "mean, cov", [([np.nan, 0.0], np.eye(2)), ([0.0, 0.0], np.diag([1.0, np.inf]))], ids=["mean", "covariance"]

@@ -19,6 +19,7 @@ from wdmix.errors import (
     EmptyCluster,
     LengthMismatch,
     MissingFlags,
+    NaNInput,
     NonRectangular,
     SingleCluster,
     WdmixError,
@@ -96,6 +97,10 @@ class TestDaviesBouldin:
             davies_bouldin(np.arange(3.0)[:, None], [0.5, 0.0, 1.7], np.array([[0.0], [2.0]]))
         with pytest.raises(EmptyCluster):  # no points: a raw ValueError from an empty reduction
             davies_bouldin(np.zeros((0, 1)), np.zeros(0, int), np.array([[0.0], [1.0]]))
+        with pytest.raises(NaNInput):  # a NaN point: an index of nan
+            davies_bouldin(np.array([[0.0], [np.nan], [2.0]]), [0, 0, 1], np.array([[0.0], [2.0]]))
+        with pytest.raises(NaNInput):  # an infinite center: an index of nan
+            davies_bouldin(np.array([[0.0], [1.0], [2.0]]), [0, 0, 1], np.array([[0.0], [np.inf]]))
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3), (2,)])
     def test_centers_not_shaped_k_by_d_rejected(self, shape):
@@ -330,3 +335,14 @@ class TestOutlierScoreReport:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             outlier_score_report(_marginal_state([1.0, 2.0]), np.array([True]))
+
+    # The bool cast read the 2 as an outlier and every tag as one.
+    @pytest.mark.parametrize("flags", [[0, 2, 1, 0], ["a", "b", "c", "d"]], ids=["flag_2", "tags"])
+    def test_flags_a_cast_would_change_rejected(self, flags):
+        with pytest.raises(NonRectangular, match="outlier_flag"):
+            outlier_score_report(_marginal_state([1.0, 2.0, 3.0, 4.0]), flags)
+
+    def test_zero_one_flags_read_as_booleans(self):
+        wbar = [5.0, 6.0, 0.5, 7.0]
+        want = outlier_score_report(_marginal_state(wbar), np.array([False, False, True, False]))
+        assert outlier_score_report(_marginal_state(wbar), [0, 0, 1, 0]) == want

@@ -529,10 +529,17 @@ def _move(engine, k, mean):
 def _assert_cache_matches_full_normalisation(engine):
     r = engine._inverse_row_sums()
     act = engine.active
-    want, _ = normalize_log_responsibilities(engine.log_dens[:, act] + np.log(engine.pis[act]))
+    log_dens = np.hstack([engine._column(j) for j in act])
+    want, _ = normalize_log_responsibilities(log_dens + np.log(engine.pis[act]))
     got = engine.E[:, act] * (engine.pis[act] * r[:, None])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(engine.pis[act] * (r @ engine.E)[act], want.sum(axis=0), rtol=1e-12, atol=0.0)
+
+
+def _assert_reset_from_columns(engine):
+    """After a shift reset every active column of E is exp(column - shift), bit for bit."""
+    for j in engine.active:
+        assert np.array_equal(engine.E[:, j], np.exp(engine._column(j)[:, 0] - engine.shift))
 
 
 class TestShiftedCache:
@@ -541,6 +548,7 @@ class TestShiftedCache:
     def test_incremental_update_and_both_rebuilds(self):
         engine = _cache_engine()
         _assert_cache_matches_full_normalisation(engine)
+        _assert_reset_from_columns(engine)
         shift = engine.shift
 
         _move(engine, 0, [0.5, 0.0])  # a small move keeps the shift
@@ -552,6 +560,7 @@ class TestShiftedCache:
         _move(engine, 2, [0.0, 40.0])
         _assert_cache_matches_full_normalisation(engine)
         assert engine.shift[60] - shift[60] > _SHIFT_MARGIN
+        _assert_reset_from_columns(engine)
         shift = engine.shift
 
         # Component 1 leaves the second cluster: no column rises above the
@@ -560,6 +569,7 @@ class TestShiftedCache:
         assert np.max(engine._column(1)[:, 0] - shift) <= _SHIFT_MARGIN
         _assert_cache_matches_full_normalisation(engine)
         assert np.all(shift[30:60] - engine.shift[30:60] > 1000.0)
+        _assert_reset_from_columns(engine)
 
     def test_annihilated_column_is_zeroed(self):
         engine = _cache_engine()
