@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import Dataset, MixtureModel, Responsibilities, _side_array
 from .em_fixed import e_step
@@ -34,6 +33,18 @@ class ComponentTag(str, Enum):
     VISUAL_ONLY = "visual_only"
 
 
+def _sqeuclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances summed over the coordinates in order:
+    ``cdist(a, b, "sqeuclidean")``'s bits, without loading ``scipy.spatial``."""
+    d2 = np.zeros((a.shape[0], b.shape[0]))
+    term = np.empty_like(d2)
+    for a_c, b_c in zip(a.T, b.T):
+        np.subtract(a_c[:, None], b_c, out=term)
+        term *= term
+        d2 += term
+    return d2
+
+
 def cross_modal_weights(dataset: Dataset) -> np.ndarray:
     """Kernel sum over every point of the opposite modality.
 
@@ -50,7 +61,7 @@ def cross_modal_weights(dataset: Dataset) -> np.ndarray:
     pts = dataset.points
     weights = np.empty(dataset.n)
     for mask, other in ((audio, visual), (visual, audio)):
-        weights[mask] = kernel_sums(cdist(pts[mask], pts[other], "sqeuclidean"), _BANDWIDTH)
+        weights[mask] = kernel_sums(_sqeuclidean(pts[mask], pts[other]), _BANDWIDTH)
     return weights
 
 

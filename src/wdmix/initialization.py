@@ -8,7 +8,6 @@ local point density into per-point weights and gamma weight priors.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import (
     CovarianceShape,
@@ -124,7 +123,8 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
     below that size every restart runs on all points.  Raises KTooLarge
     unless 1 <= k <= n, NonPositiveArgument unless ``restarts`` >= 1, and
     EmptyCluster when the returned labelling leaves a cluster empty (as
-    rounding can at extreme offsets), so the count never drops silently.
+    rounding can at extreme offsets), naming the distinct-point count when it
+    is below k, so the count never drops silently.
     """
     points = as_dataset(data).points
     n = points.shape[0]
@@ -146,7 +146,9 @@ def kmeans(data, k: int, restarts: int = 10, seed=None):
         best = _lloyd(aug, best[1])
     empty = np.flatnonzero(np.bincount(best[0], minlength=k) == 0)
     if empty.size:
-        raise EmptyCluster(f"k-means left cluster {int(empty[0])} of {k} empty")
+        distinct = np.unique(points, axis=0).shape[0]
+        cause = f": the data hold {distinct} distinct point{'s' * (distinct > 1)}" if distinct < k else ""
+        raise EmptyCluster(f"k-means left cluster {int(empty[0])} of {k} empty{cause}")
     return best[0], best[1]
 
 
@@ -181,8 +183,13 @@ def model_from_labels(data, labels, covariance_shape=CovarianceShape.FULL) -> Mi
 
 
 def kernel_sums(d2: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Row sums of ``exp(-d2 / bandwidth)``, clamped to a tiny positive floor."""
-    return np.maximum(np.sum(np.exp(-d2 / bandwidth), axis=1), _WEIGHT_FLOOR)
+    """Row sums of ``exp(-d2 / bandwidth)``, clamped to a tiny positive floor.
+
+    The terms overwrite ``d2`` (x / -b is -x / b bit for bit), so no copy is made.
+    """
+    d2 /= -bandwidth
+    np.exp(d2, out=d2)
+    return np.maximum(np.sum(d2, axis=1), _WEIGHT_FLOOR)
 
 
 def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarray:
@@ -204,6 +211,8 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
         raise QTooLarge(f"q={q} needs 1 <= q <= n-1 with n={n}")
     if not bandwidth > 0.0:
         raise NonPositiveWeight("bandwidth must be positive")
+    from scipy.spatial import cKDTree  # only this path loads scipy.spatial and scipy.sparse
+
     # Each pair's distance is computed the same way whatever the tree's shape
     # and whichever thread finds it, and eps=0 keeps the search exact.
     tree = cKDTree(points, leafsize=32, balanced_tree=False)
@@ -211,7 +220,9 @@ def knn_kernel_weights(data, q: int = 20, bandwidth: float = 100.0) -> np.ndarra
     for start in range(0, n, _KNN_BLOCK):
         rows = tree.indices[start : start + _KNN_BLOCK]
         found, _ = tree.query(tree.data[rows], k=q + 1, workers=-1)
-        weights[rows] = kernel_sums(found[:, 1:] ** 2, bandwidth)
+        d2 = found[:, 1:]
+        d2 *= d2
+        weights[rows] = kernel_sums(d2, bandwidth)
     return weights
 
 

@@ -15,6 +15,7 @@ from wdmix import (
     model_from_parameters,
     validate_dataset,
 )
+from wdmix.av_fusion import _sqeuclidean
 from wdmix.errors import LengthMismatch, SingleModality
 
 
@@ -46,6 +47,23 @@ class TestCrossModalWeights:
         assert w[0] == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
         assert w[1] == pytest.approx(np.exp(-1.0), rel=1e-12)
         assert w[2] == pytest.approx(np.exp(-1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    def test_cdist_bits(self, d, scale):
+        # The package sums the coordinates itself so that it need not load
+        # scipy.spatial; the test loads it to hold that sum to cdist's bits.
+        from scipy.spatial.distance import cdist
+
+        gen = np.random.default_rng(d)
+        audio = gen.normal(size=(37, d)) * 20.0 * scale
+        visual = gen.normal(size=(29, d)) * 20.0 * scale + 30.0 * scale
+        visual[:4] = audio[0]  # duplicates of a point of the other modality
+        audio[5:8] = audio[4]  # and of its own
+        assert _sqeuclidean(audio, visual).tobytes() == cdist(audio, visual, "sqeuclidean").tobytes()
+        want = [np.maximum(np.sum(np.exp(-cdist(x, y, "sqeuclidean") / 100.0), axis=1), 1e-12)
+                for x, y in ((audio, visual), (visual, audio))]
+        assert cross_modal_weights(_segment(audio, visual)).tobytes() == np.concatenate(want).tobytes()
 
     def test_no_neighbour_truncation(self):
         # Unlike the nearest-neighbour kernel, every opposite-modality point

@@ -94,6 +94,30 @@ def test_score_is_bench_pairs_summary_and_verdict(monkeypatch):
     assert bench_pairs.summary_line("fit_d8", {"unit_ms": got}) == "fit_d8: unit_ms -16.7% wins 4"
 
 
+def test_pair_ratios_are_the_median_and_quartile_spread_of_head_over_base():
+    base = [0.10, 0.20, 0.40, 0.50, 1.00]
+    head = [0.09, 0.20, 0.30, 0.45, 0.70]  # ratios 0.9, 1.0, 0.75, 0.9, 0.7
+    got = bench_pairs.score(base, head, "lower", 0.25)
+    assert got["ratio_median"] == pytest.approx(0.9)
+    assert got["ratio_spread"] == pytest.approx(0.9 - 0.75)
+    # Reporting only: the verdict is the one the quartiles of each side give.
+    assert got["base_spread"] == pytest.approx(0.5 - 0.2)
+    assert not got["gain_rule_met"]
+
+
+def test_pair_ratios_of_one_pair_and_of_a_zero_base():
+    assert bench_pairs.pair_ratios([2.0], [1.0]) == {"ratio_median": 0.5, "ratio_spread": 0.0}
+    assert bench_pairs.pair_ratios([0.0, 1.0], [0.5, 1.0]) == {"ratio_median": None, "ratio_spread": None}
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=20), st.floats(0.5, 2.0))
+def test_a_constant_head_base_ratio_has_no_spread(base, factor):
+    got = bench_pairs.pair_ratios(base, [factor * b for b in base])
+    assert got["ratio_median"] == pytest.approx(factor)
+    assert got["ratio_spread"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_a_tie_is_no_win():
     assert bench_pairs.score([0.1, 0.2], [0.1, 0.2], "lower", 0.25)["head_wins"] == 0
 
@@ -133,7 +157,12 @@ def test_run_pairs_is_pair_major_with_abba_order_in_each_pair(tmp_path, monkeypa
     orders = [("base", "head"), ("head", "base"), ("base", "head")]
     expected = [(side, w, seed) for order, seed in zip(orders, [41, 59, 41]) for w in workloads for side in order]
     assert calls == expected
-    assert _keys(got) == _keys(json.loads((ROOT / "BENCH_22.json").read_text())["workloads"])
+    # BENCH_22.json's shape, plus the pair-ratio summary of every metric.
+    want = _keys(json.loads((ROOT / "BENCH_22.json").read_text())["workloads"])
+    for workload in want.values():
+        for metric in workload["metrics"].values():
+            metric.update(ratio_median=None, ratio_spread=None)
+    assert _keys(got) == want
     first = got[workloads[0]]
     assert first["metrics"]["unit_ms"]["base"]["runs"] == [1.0, 2 * len(workloads) + 2.0, 4 * len(workloads) + 1.0]
     assert first["attempted"] == {"base": 6, "head": 6}

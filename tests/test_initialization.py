@@ -125,8 +125,18 @@ class TestKmeans:
         # Far from the origin, rounding in the distance expansion leaves the
         # best labelling one cluster short; it must not pass as k - 1 clusters.
         points = np.random.default_rng(0).normal(size=(200, 2)) + 1e8
-        with pytest.raises(EmptyCluster, match="k-means left cluster 7 of 8 empty"):
+        with pytest.raises(EmptyCluster, match="k-means left cluster 7 of 8 empty$"):
             kmeans(points, 8, seed=0)
+
+    @pytest.mark.parametrize("points, k, cause", [
+        (np.zeros((10, 2)), 3, "the data hold 1 distinct point"),
+        (np.repeat([[0.0, 1.0], [-0.0, 1.0], [2.0, 1.0]], 4, axis=0), 3, "the data hold 2 distinct points"),
+        (np.repeat(np.arange(4.0)[:, None], 3, axis=0), 5, "the data hold 4 distinct points"),
+    ])
+    def test_empty_cluster_names_too_few_distinct_points(self, points, k, cause):
+        # -0.0 and 0.0 are one point: their distances to every center agree.
+        with pytest.raises(EmptyCluster, match=f"^k-means left cluster \\d of {k} empty: {cause}$"):
+            kmeans(points, k, seed=0)
 
 
 def _blobs(n: int, d: int, k: int, seed: int) -> np.ndarray:
@@ -296,6 +306,28 @@ class TestModelFromLabels:
         assert got.to_dict() == want.to_dict()
 
 
+def _reference_kernel_sums(dists: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Floored row sums of exp(-d^2 / bandwidth), each step a new array."""
+    return np.maximum(np.sum(np.exp(-(dists**2) / bandwidth), axis=1), 1e-12)
+
+
+@pytest.mark.parametrize("q, scale", [(1, 1.0), (7, 40.0), (20, 3.0), (20, 1e3)])
+def test_kernel_sums_in_place_on_a_found_view(q, scale):
+    # The kNN path squares the query's found[:, 1:] in place and hands over
+    # that view; the sums must be the reference's bits, floor included.
+    gen = np.random.default_rng(q)
+    found = np.sort(np.abs(gen.normal(size=(500, q + 1))) * scale, axis=1)
+    found[1::50, 1:] = 1e4  # rows far beyond the bandwidth clamp at the floor
+    found[2::70, 1:] = 0.0  # and coincident neighbours score q
+    first, want = found[:, 0].copy(), _reference_kernel_sums(found[:, 1:], 100.0)
+    d2 = found[:, 1:]
+    d2 *= d2
+    got = kernel_sums(d2, 100.0)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[1::50] == 1e-12) and np.all(got[2::70] == q)
+    assert found[:, 0].tobytes() == first.tobytes()  # only the view is overwritten
+
+
 def _oracle_weights(points: np.ndarray, q: int, bandwidth: float) -> np.ndarray:
     """Kernel weights from explicit (x_i - x_j)^2 sums and a full sort of each row."""
     weights = np.empty(points.shape[0])
@@ -346,7 +378,7 @@ class TestKnnKernelWeights:
         points = gen.normal(size=(2_400, 8)) * 3.0
         points[2_000:2_100] = points[0]  # a stack of 101 coincident points
         dists, _ = cKDTree(points).query(points, k=21, workers=1)
-        want = kernel_sums(dists[:, 1:] ** 2, 100.0)
+        want = _reference_kernel_sums(dists[:, 1:], 100.0)
         assert knn_kernel_weights(points, q=20, bandwidth=100.0).tobytes() == want.tobytes()
 
     def test_ties_at_the_last_neighbour_match_a_serial_default_tree(self):
@@ -356,7 +388,7 @@ class TestKnnKernelWeights:
         points = np.round(gen.normal(size=(3_000, 2)) * 4.0)
         dists, _ = cKDTree(points).query(points, k=16, workers=1)
         assert np.mean(dists[:, 15] == dists[:, 14]) > 0.5
-        want = kernel_sums(dists[:, 1:] ** 2, 10.0)
+        want = _reference_kernel_sums(dists[:, 1:], 10.0)
         assert knn_kernel_weights(points, q=15, bandwidth=10.0).tobytes() == want.tobytes()
 
     def test_parameter_validation(self):
@@ -379,7 +411,7 @@ def _whole_set_weights(points, q, bandwidth):
     found, _ = tree.query(tree.data[tree.indices], k=q + 1, workers=-1)
     dists = np.empty_like(found)
     dists[tree.indices] = found
-    return kernel_sums(dists[:, 1:] ** 2, bandwidth)
+    return _reference_kernel_sums(dists[:, 1:], bandwidth)
 
 
 _BLOCK = initialization._KNN_BLOCK

@@ -202,6 +202,43 @@ def test_micro_f1_and_evaluate_load_no_scipy_stats_or_optimize(tmp_path):
     assert set(json.loads((tmp_path / "m.json").read_text())) >= {"db_all", "micro_f1", "outliers"}
 
 
+_SPATIAL = "sorted({m.split('.')[1] for m in sys.modules if m.startswith(('scipy.spatial', 'scipy.sparse'))})"
+
+
+def test_only_knn_weights_load_scipy_spatial(tmp_path):
+    # scipy.spatial, and the scipy.sparse it imports, cost about 5.5 MB of
+    # peak RSS; only the k-d tree of the kNN weights needs them.
+    data, prefix = tmp_path / "tiny.csv", tmp_path / "run"
+    assert cli.main(["generate", "--profile", "easy", "--n", "62", "--outlier-fraction", "0.3",
+                     "--seed", "0", "--out", str(data)]) == 0
+    assert cli.main(["fit", "--input", str(data), "--k", "3", "--algorithm", "wd", "--seed", "0",
+                     "--out", str(prefix)]) == 0
+    generate = ["generate", "--profile", "easy", "--n", "40", "--seed", "1", "--out", str(tmp_path / "g.csv")]
+    # A weighted model without --assignments would recompute the kNN weights.
+    evaluate = ["evaluate", "--model", f"{prefix}.model.json", "--truth", str(data),
+                "--assignments", f"{prefix}.assignments.csv", "--report", f"{prefix}.report.json",
+                "--metrics", "db,f1,outliers", "--plot", str(tmp_path / "p.svg"), "--out", str(tmp_path / "m.json")]
+    steps = _fresh_interpreter(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import wdmix, wdmix.cli\n"
+        f"steps = [{_SPATIAL}]\n"
+        f"steps.append(wdmix.cli.main({generate!r}) or {_SPATIAL})\n"
+        "gen = np.random.default_rng(0)\n"
+        "points = np.vstack([gen.normal([-60.0, 0.0], 10.0, (80, 2)), gen.normal([60.0, 0.0], 10.0, (40, 2))])\n"
+        "scene = wdmix.validate_dataset(points, modality=['a'] * 50 + ['v'] * 70)\n"
+        "wdmix.analyze_segment(scene, wdmix.AvConfig(seed=0))\n"
+        f"steps.append({_SPATIAL})\n"
+        f"steps.append(wdmix.cli.main({evaluate!r}) or {_SPATIAL})\n"
+        "wdmix.knn_kernel_weights(scene, q=5)\n"
+        f"steps.append({_SPATIAL})\n"
+        "print(json.dumps(steps))"
+    )
+    assert steps[:4] == [[], [], [], []]  # import, generate, analyze_segment, evaluate --assignments
+    assert steps[4] == ["sparse", "spatial"]  # the control: the guard sees the kNN path's imports
+    assert set(json.loads((tmp_path / "m.json").read_text())) >= {"db_all", "micro_f1", "outliers"}
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 

@@ -17,7 +17,8 @@ over seconds lands on both.  Only ``op.run()`` is timed; ``op.check``
 supplies the units of work, so a round's figure is the benchmark's
 ``unit_ms``: the time of its ops over the units they ran.  Per workload the
 rounds are scored by ``tools/bench_pairs.py``'s paired-runs rule, each
-round one pair.  Both sides must agree on every op's ``Outcome.digest`` and
+round one pair; the JSON line carries that score, the per-round ratio
+median and spread included.  Both sides must agree on every op's ``Outcome.digest`` and
 on every float the op returned; the tool exits 1 if one differs.
 """
 

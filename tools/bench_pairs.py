@@ -27,8 +27,11 @@ gap (head minus base, and relative to the base median), the base's
 quartile spread, ``gain_rule_met`` (the head won at least nine tenths of
 the pairs and its median is better than the base's by more than that
 spread) and ``worse_than_bound`` (the head's median is worse than the
-base's by more than the metric's relative bound).  One summary line per
-workload is printed at the end.
+base's by more than the metric's relative bound).  Next to the base's
+spread it reports the median and quartile spread of the per-pair head/base
+ratios (``ratio_median``, ``ratio_spread``; null if a base run reads 0),
+the noise that pairing leaves; the verdict does not use them.  One summary
+line per workload is printed at the end.
 """
 
 from __future__ import annotations
@@ -132,13 +135,23 @@ def summary_line(workload: str, metrics: dict) -> str:
     return f"{workload}: " + "; ".join(parts)
 
 
+def pair_ratios(base_values: list[float], head_values: list[float]) -> dict:
+    """Median and quartile spread of the per-pair head/base ratios; None if a base value is 0."""
+    if not all(base_values):
+        return {"ratio_median": None, "ratio_spread": None}
+    ratios = summary([h / b for b, h in zip(base_values, head_values)])
+    return {"ratio_median": ratios["median"], "ratio_spread": ratios["q3"] - ratios["q1"]}
+
+
 def score(base_values: list[float], head_values: list[float], better: str, bound: float) -> dict:
-    """One metric's paired values as both sides' :func:`summary`, the head's wins and the :func:`verdict`."""
+    """One metric's paired values as both sides' :func:`summary`, the head's wins, the :func:`verdict`
+    and the :func:`pair_ratios`."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (h - b) < 0 for b, h in zip(base_values, head_values))
     base, head = summary(base_values), summary(head_values)
     return {"base": base, "head": head, "head_wins": wins,
-            **verdict(base, head, wins, len(base_values), better, bound)}
+            **verdict(base, head, wins, len(base_values), better, bound),
+            **pair_ratios(base_values, head_values)}
 
 
 def run_pairs(checkouts: dict, pairs: int, seeds: list[int]) -> dict:
