@@ -198,10 +198,10 @@ def assignments_from_model(dataset: Dataset, model: MixtureModel, meta) -> np.nd
 
     Uses the model file's ``fit`` metadata ``meta`` (algorithm, kernel
     settings) to repeat the assignment step with the prior weights, as
-    ``fit`` and every ``select`` run but one assign.  A random-weight
-    ``select`` with carried rates (its default) assigns with per-component
-    posterior rates, which the model file does not hold: such a model raises
-    WdmixError, and its run's assignment file must be passed instead.
+    ``fit`` and a fixed-weight ``select`` assign.  A random-weight ``select``
+    assigns with per-component posterior rates, which the model file does
+    not hold; its metadata says the rates were carried, so such a model
+    raises WdmixError and its run's assignment file must be passed instead.
     """
     if not isinstance(meta, dict):
         raise MalformedModel("model file's 'fit' field must be a JSON object")
@@ -216,9 +216,12 @@ def assignments_from_model(dataset: Dataset, model: MixtureModel, meta) -> np.nd
         )
     weights = np.ones(dataset.n)
     if mode is not None:
+        q, sigma = meta.get("q"), meta.get("sigma")
         try:
-            q, sigma = int(meta["q"]), float(meta["sigma"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            if type(q) is not int or type(sigma) not in (int, float):
+                raise TypeError
+            sigma = float(sigma)
+        except (TypeError, OverflowError):
             raise MalformedModel("model file's fit metadata needs numeric 'q' and 'sigma' fields") from None
         weights = default_weights(dataset, mode, q, sigma)
     e_step = engine.e_step_assignments if engine is em_weighted else engine.e_step
@@ -332,7 +335,6 @@ def _cmd_select(args) -> int:
         epsilon=args.epsilon,
         max_outer_iter=args.max_sweeps,
         weight_mode=WeightMode(args.weight_mode),
-        assignment_rates=args.assignment_rates,
     )
     report = select_model(
         dataset,
@@ -348,7 +350,7 @@ def _cmd_select(args) -> int:
         "seed": args.seed,
         "q": args.q,
         "sigma": args.sigma,
-        "assignment_rates": args.assignment_rates,
+        "assignment_rates": "carried",
     }
     _write_run(
         args.out,
@@ -489,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--epsilon", type=float, default=1e-5)
     sel.add_argument("--max-sweeps", type=int, default=2000)
     sel.add_argument("--weight-mode", choices=("random", "fixed"), default="random")
-    sel.add_argument("--assignment-rates", choices=("carried", "prior"), default="carried")
     sel.set_defaults(func=_cmd_select)
 
     ev = sub.add_parser("evaluate", help="compute metrics from written artifacts")

@@ -43,13 +43,11 @@ _SUM_FLOOR = 1e-250
 
 @dataclass(frozen=True)
 class MmlConfig:
-    """Knobs for the selection run.
+    """Settings.
 
     ``epsilon`` is the relative message-length change that ends a stage;
     ``max_outer_iter`` caps the total number of component-wise sweeps across
-    the whole run.  ``assignment_rates`` picks which gamma rates feed the
-    assignment step: "carried" reuses the rates produced by the latest
-    weight-posterior step, "prior" always uses the initial priors.
+    the whole run.
     """
 
     k_high: int
@@ -57,7 +55,6 @@ class MmlConfig:
     epsilon: float = 1e-5
     max_outer_iter: int = 2000
     weight_mode: WeightMode = WeightMode.RANDOM
-    assignment_rates: str = "carried"
 
     def __post_init__(self):
         for name in ("k_high", "k_low", "max_outer_iter"):
@@ -66,8 +63,6 @@ class MmlConfig:
             raise DimensionMismatch("need 1 <= k_low <= k_high")
         if not self.epsilon >= 0.0 or self.max_outer_iter < 0:
             raise DimensionMismatch("epsilon and max_outer_iter must be non-negative")
-        if self.assignment_rates not in ("carried", "prior"):
-            raise DimensionMismatch("assignment_rates must be 'carried' or 'prior'")
         mode = WeightMode(self.weight_mode)
         object.__setattr__(self, "weight_mode", mode)
 
@@ -150,7 +145,6 @@ class _SelectionEngine:
     """
 
     def __init__(self, data, config, kernel, initial_model):
-        self.cfg = config
         X = data.points
         self.X = X
         self.n, self.d = X.shape
@@ -247,14 +241,13 @@ class _SelectionEngine:
     # -- one component-wise sweep ----------------------------------------
 
     def sweep(self, sweep_index: int, log: list) -> None:
-        carry = self.random and self.cfg.assignment_rates == "carried"
         for k in list(self.active):
             r = self._inverse_row_sums()
             act = self.active
             sums = self.pis[act] * (r @ self.E)[act]
             eta_k = self.E[:, k] * (self.pis[k] * r)
             wbar = self.kernel.weight_means(self.maha[:, k : k + 1])[:, 0]
-            if carry:
+            if self.random:
                 self._carry_rates()
             new_pis = _trimmed_proportions(sums, self.m)
             pos = act.index(k)

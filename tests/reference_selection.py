@@ -5,11 +5,12 @@ after every single-component update the whole (n, K+) log-density matrix is
 rebuilt and renormalised, every updated component is frozen into a validated
 :class:`GaussianComponent`, and every sweep's message length is measured by
 :func:`wdmix.message_length` on freshly built value objects.  The package's
-engine caches columns and builds value objects only at checkpoints; it must
-reproduce this oracle bit for bit.  The row normaliser, the covariance ridge
-and the triangular solve are written out here in their plain NumPy/SciPy
-form instead of being imported, so the package's leaner versions of them
-are checked too.
+engine caches columns and builds value objects only at checkpoints and sums
+in another order; it must reproduce this oracle's discrete outcomes exactly
+and its floats to a relative 1e-12 (2e-12 for annihilation proportions).
+The row normaliser, the covariance ridge and the triangular solve are
+written out here in their plain NumPy/SciPy form instead of being imported,
+so the package's leaner versions of them are checked too.
 
 :class:`MatrixRateEngine` is the package's engine with its carried gamma
 rates stored as one (n, K) matrix, the form that its per-component carried
@@ -167,7 +168,7 @@ class _FullMatrixEngine:
                 - 0.5 * self.fixed_w[:, None] * maha
             )
         else:
-            if self.cfg.assignment_rates == "carried" and self.carried_ready:
+            if self.carried_ready:
                 aa, gl, bb = self.post_a, self.gl_post, self.ez_b[:, act]
             else:
                 aa, gl = self.alpha0, self.gl_prior
@@ -188,9 +189,8 @@ class _FullMatrixEngine:
             if self.cfg.weight_mode == WeightMode.RANDOM:
                 b_cur = self.beta0[:, None] + 0.5 * self.maha[:, act]
                 wbar = self.post_a[:, None] / b_cur
-                if self.cfg.assignment_rates == "carried":
-                    self.ez_b[:, act] = b_cur
-                    self.carried_ready = True
+                self.ez_b[:, act] = b_cur
+                self.carried_ready = True
             else:
                 wbar = np.broadcast_to(self.fixed_w[:, None], eta.shape)
             sums = eta.sum(axis=0)

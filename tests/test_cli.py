@@ -413,22 +413,20 @@ class TestSmallFile:
         assert run_cli("generate", "--profile", "easy", "--n", 15, "--seed", 1, "--out", path) == 0
         return path
 
-    # Carried rates are not in the model file: evaluate recomputes prior-rate
-    # assignments only and asks for --assignments otherwise.
-    @pytest.mark.parametrize(
-        "mode, rates", [("random", "prior"), ("fixed", "carried"), ("random", "carried")]
-    )
-    def test_select_then_evaluate(self, tiny_csv, tmp_path, capsys, mode, rates):
+    # Carried rates are not in the model file: evaluate recomputes fixed-weight
+    # assignments only and asks for --assignments after a random-weight select.
+    @pytest.mark.parametrize("mode", ["fixed", "random"])
+    def test_select_then_evaluate(self, tiny_csv, tmp_path, capsys, mode):
         prefix = tmp_path / "sel"
         assert run_cli("select", "--input", tiny_csv, "--k-high", 3, "--weight-mode", mode,
-                       "--assignment-rates", rates, "--seed", 0, "--out", prefix) == 0
+                       "--seed", 0, "--out", prefix) == 0
         capsys.readouterr()
         code = run_cli("evaluate", "--model", f"{prefix}.model.json", "--truth", tiny_csv,
                        "--metrics", "f1", "--out", tmp_path / "m.json")
         payload = json.loads(Path(f"{prefix}.model.json").read_text())
-        assert payload["fit"]["assignment_rates"] == rates
+        assert payload["fit"]["assignment_rates"] == "carried"
         model = MixtureModel.from_dict(payload)
-        if (mode, rates) == ("random", "carried"):
+        if mode == "random":
             assert code == 1
             assert "--assignments" in capsys.readouterr().err
             with pytest.raises(WdmixError, match="--assignments"):
@@ -460,6 +458,10 @@ class TestErrorHandling:
         assert excinfo.value.code == 2
         with pytest.raises(SystemExit) as excinfo:
             run_cli("frobnicate")
+        assert excinfo.value.code == 2
+        with pytest.raises(SystemExit) as excinfo:  # random-weight selection always carries its rates
+            run_cli("select", "--input", "data.csv", "--k-high", 3, "--out", "run",
+                    "--assignment-rates", "carried")
         assert excinfo.value.code == 2
 
     def test_nan_tolerance_exits_one(self, small_csv, tmp_path, capsys):
@@ -661,6 +663,19 @@ class TestErrorHandling:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}'" in err
+
+    # int() and float() would read each as another value: true as 1, 20.7 as 20, a string parsed.
+    @pytest.mark.parametrize(
+        "key, value", [("q", True), ("q", 20.7), ("q", "20"), ("sigma", "100"), ("sigma", True)]
+    )
+    def test_fit_metadata_a_cast_would_change_exits_one(self, key, value, fitted, small_csv, tmp_path, capsys):
+        payload = json.loads(Path(f"{fitted}.model.json").read_text())
+        payload["fit"][key] = value
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(payload))
+        code = run_cli("evaluate", "--model", bad, "--truth", small_csv)
+        assert code == 1
+        assert "needs numeric 'q' and 'sigma' fields" in capsys.readouterr().err
 
     def test_corrupt_model_json_exits_one(self, small_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -178,8 +178,6 @@ class TestMmlConfig:
             MmlConfig(k_high=3, epsilon=-1.0)
         with pytest.raises(DimensionMismatch):
             MmlConfig(k_high=3, epsilon=float("nan"))  # would run out the sweep budget
-        with pytest.raises(DimensionMismatch):
-            MmlConfig(k_high=3, assignment_rates="other")
         # k_high=2.5 failed with a raw TypeError in the selection; the other two were accepted.
         for field in ({"k_high": 2.5}, {"k_high": 3, "k_low": 1.5}, {"k_high": 3, "max_outer_iter": 2.5}):
             with pytest.raises(DimensionMismatch, match="must be an integer"):
@@ -395,12 +393,11 @@ class TestMatchesFullMatrixEngine:
                 close(a, b)
 
     @pytest.mark.parametrize("shape", ["full", "diagonal"])
-    @pytest.mark.parametrize("rates", ["carried", "prior"])
     @pytest.mark.parametrize("mode", ["random", "fixed"])
     @pytest.mark.parametrize("dataset", ["blobs_2d", "small_contaminated"])
-    def test_bit_identical(self, request, dataset, mode, rates, shape):
+    def test_bit_identical(self, request, dataset, mode, shape):
         data = request.getfixturevalue(dataset)
-        config = MmlConfig(k_high=6, weight_mode=mode, assignment_rates=rates)
+        config = MmlConfig(k_high=6, weight_mode=mode)
         got = select_model(data, config, covariance_shape=shape, seed=2, restarts=3)
         want = reference_select_model(data, config, covariance_shape=shape, seed=2, restarts=3)
         self._assert_matches(got, want)

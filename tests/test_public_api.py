@@ -53,7 +53,7 @@ PUBLIC_SIGNATURES = {
     ],
     "GaussianComponent": ["mean", "covariance"],
     "MixtureModel": ["components", "proportions", "covariance_shape"],
-    "MmlConfig": ["k_high", "k_low", "epsilon", "max_outer_iter", "weight_mode", "assignment_rates"],
+    "MmlConfig": ["k_high", "k_low", "epsilon", "max_outer_iter", "weight_mode"],
     "OutlierScoreReport": ["inlier_mean_weight", "outlier_mean_weight", "auc"],
     "Responsibilities": ["matrix"],
     "WeightMode": ["fixed", "random"],
