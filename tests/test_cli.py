@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import wdmix
-from wdmix import MixtureModel, davies_bouldin, micro_f1, model_from_parameters
+from wdmix import MixtureModel, WeightMode, davies_bouldin, em_weighted, micro_f1, model_from_parameters
 from wdmix.cli import (
     assignments_from_model,
     main,
@@ -414,27 +414,41 @@ class TestSmallFile:
         return path
 
     # Carried rates are not in the model file: evaluate recomputes fixed-weight
-    # assignments only and asks for --assignments after a random-weight select.
-    @pytest.mark.parametrize("mode", ["fixed", "random"])
-    def test_select_then_evaluate(self, tiny_csv, tmp_path, capsys, mode):
+    # assignments and asks for --assignments after a random-weight select.  A
+    # random-weight model file whose metadata says "prior", as older versions
+    # of select could write, still recomputes with the prior rates.
+    @pytest.mark.parametrize(
+        "mode, rates", [("random", "prior"), ("fixed", "carried"), ("random", "carried")]
+    )
+    def test_select_then_evaluate(self, tiny_csv, tmp_path, capsys, mode, rates):
         prefix = tmp_path / "sel"
         assert run_cli("select", "--input", tiny_csv, "--k-high", 3, "--weight-mode", mode,
                        "--seed", 0, "--out", prefix) == 0
-        capsys.readouterr()
-        code = run_cli("evaluate", "--model", f"{prefix}.model.json", "--truth", tiny_csv,
-                       "--metrics", "f1", "--out", tmp_path / "m.json")
         payload = json.loads(Path(f"{prefix}.model.json").read_text())
         assert payload["fit"]["assignment_rates"] == "carried"
+        payload["fit"]["assignment_rates"] = rates
+        model_path = tmp_path / "edited.model.json"
+        model_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli("evaluate", "--model", model_path, "--truth", tiny_csv,
+                       "--metrics", "f1", "--out", tmp_path / "m.json")
         model = MixtureModel.from_dict(payload)
-        if mode == "random":
+        dataset = read_dataset_csv(tiny_csv)
+        if (mode, rates) == ("random", "carried"):
             assert code == 1
             assert "--assignments" in capsys.readouterr().err
             with pytest.raises(WdmixError, match="--assignments"):
-                assignments_from_model(read_dataset_csv(tiny_csv), model, payload["fit"])
+                assignments_from_model(dataset, model, payload["fit"])
             return
         assert code == 0
-        recomputed = assignments_from_model(read_dataset_csv(tiny_csv), model, payload["fit"])
-        assert np.array_equal(recomputed, read_assignments_csv(f"{prefix}.assignments.csv"))
+        recomputed = assignments_from_model(dataset, model, payload["fit"])
+        if mode == "fixed":
+            assert np.array_equal(recomputed, read_assignments_csv(f"{prefix}.assignments.csv"))
+        else:
+            weights = default_weights(dataset, WeightMode.RANDOM, payload["fit"]["q"], payload["fit"]["sigma"])
+            want = em_weighted.e_step_assignments(dataset, model, weights).hard_assignments()
+            assert np.array_equal(recomputed, want)
+        assert json.loads((tmp_path / "m.json").read_text())["micro_f1"] == micro_f1(recomputed, dataset.labels)
 
     @pytest.mark.parametrize("algorithm", ["wd", "fwd"])
     def test_fit(self, tiny_csv, tmp_path, algorithm):

@@ -183,6 +183,11 @@ class TestMmlConfig:
             with pytest.raises(DimensionMismatch, match="must be an integer"):
                 MmlConfig(**field)
 
+    def test_assignment_rates_keyword_refused(self):
+        # Random-weight selection always carries its posterior rates; the former option is gone.
+        with pytest.raises(TypeError, match="assignment_rates"):
+            MmlConfig(k_high=3, assignment_rates="carried")
+
     def test_numpy_integers_are_counts(self):
         assert MmlConfig(k_high=np.int64(3), k_low=np.int32(2), max_outer_iter=np.uint8(5)).max_outer_iter == 5
 
